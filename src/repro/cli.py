@@ -591,55 +591,36 @@ def _serve_event_log(args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.observability.logging import use_event_log
+    import asyncio
+
+    from repro.observability.registry import MetricsRegistry
+    from repro.serving.fleet import Fleet, FleetConfig, FrontDoor
 
     event_log = _serve_event_log(args)
-    if args.workers > 1:
-        import asyncio
-
-        from repro.observability.registry import MetricsRegistry
-        from repro.serving.fleet import Fleet, FleetConfig, FrontDoor
-
-        config = FleetConfig(
-            n_workers=args.workers,
-            router=args.router,
-            cache_size=args.cache_size,
-            block_size=args.block_size,
-        )
-        registry = MetricsRegistry(enabled=True)
-        with Fleet(
-            args.model, config, registry=registry, event_log=event_log
-        ) as fleet:
-            door = FrontDoor(
-                fleet,
-                host=args.host,
-                port=args.port,
-                max_inflight=args.max_inflight,
-                default_deadline_ms=args.deadline_ms,
-                verbose=True,
-                tracing=args.trace,
-                event_log=event_log,
-                slow_log_path=args.slow_log,
-            )
-            try:
-                asyncio.run(door.serve())
-            except KeyboardInterrupt:
-                pass
-            print("fleet drained and stopped")
-        return 0
-
-    from repro.serving import QueryEngine, load_model, serve_forever
-
-    model = load_model(args.model)
-    engine = QueryEngine(
-        model,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
+    config = FleetConfig(
+        n_workers=args.workers,
+        router=args.router,
         cache_size=args.cache_size,
         block_size=args.block_size,
     )
-    with use_event_log(event_log):
-        serve_forever(engine, host=args.host, port=args.port)
+    registry = MetricsRegistry(enabled=True)
+    with Fleet(args.model, config, registry=registry, event_log=event_log) as fleet:
+        door = FrontDoor(
+            fleet,
+            host=args.host,
+            port=args.port,
+            max_inflight=args.max_inflight,
+            default_deadline_ms=args.deadline_ms,
+            verbose=True,
+            tracing=args.trace,
+            event_log=event_log,
+            slow_log_path=args.slow_log,
+        )
+        try:
+            asyncio.run(door.serve())
+        except KeyboardInterrupt:
+            pass
+        print("fleet drained and stopped")
     return 0
 
 
@@ -684,16 +665,12 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     with stack:
         if args.url:
             target = args.url
-        elif model is not None and args.workers > 1:
+        elif model is not None:
             from repro.serving.fleet import Fleet, FleetConfig
 
             target = stack.enter_context(
                 Fleet(model, FleetConfig(n_workers=args.workers, router=args.router))
             )
-        elif model is not None:
-            from repro.serving import QueryEngine
-
-            target = stack.enter_context(QueryEngine(model, max_wait_ms=0.0))
         else:
             raise SystemExit("provide --url or --model")
 
@@ -999,28 +976,20 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
 
     serve = sub.add_parser(
-        "serve", help="serve a saved model over a stdlib HTTP JSON endpoint"
+        "serve", help="serve a saved model over HTTP through the async front door"
     )
     serve.add_argument("--model", required=True, help="model artifact from 'fit --save'")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765)
-    serve.add_argument(
-        "--max-batch", type=int, default=256,
-        help="most requests answered in one micro-batch block",
-    )
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="how long the batcher holds a request waiting for company",
-    )
     serve.add_argument(
         "--cache-size", type=int, default=4096,
         help="LRU answer-cache entries (0 disables caching)",
     )
     serve.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes; >1 serves through the sharded fleet "
-        "behind the async front door (docs/SERVING.md)",
+        "--workers", type=int, default=0,
+        help="worker processes behind the front door; 0 runs the one "
+        "worker inside the server process (docs/SERVING.md)",
     )
     serve.add_argument(
         "--router", choices=("kd", "none"), default="kd",
@@ -1070,12 +1039,15 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest", help="open-loop load test against a serving target"
     )
     load.add_argument("--model", default=None, help="model artifact (in-process target / synthetic pool)")
-    load.add_argument("--url", default=None, help="HTTP target (front door or single service)")
+    load.add_argument("--url", default=None, help="HTTP target (a front door)")
     load.add_argument(
         "--replay", default=None, metavar="PATH",
         help="replay real query points (.npy/.csv/.tsv) instead of synthetic",
     )
-    load.add_argument("--workers", type=int, default=1, help="in-process fleet size")
+    load.add_argument(
+        "--workers", type=int, default=0,
+        help="worker processes of the fleet built when no --url is given",
+    )
     load.add_argument("--router", choices=("kd", "none"), default="kd")
     load.add_argument("--rate", type=float, default=50.0, help="offered req/s (or ramp start)")
     load.add_argument(

@@ -7,7 +7,7 @@ one ``name{labels} value`` line per sample, histograms as cumulative
 ``prometheus_client`` dependency.
 
 Serving exposes this at ``GET /metrics``
-(:mod:`repro.serving.service`); the CLI writes it with
+(:mod:`repro.serving.fleet.frontdoor`); the CLI writes it with
 ``mudbscan fit --metrics-out metrics.prom``.
 """
 

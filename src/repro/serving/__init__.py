@@ -12,11 +12,11 @@ The fit→save→serve pipeline the production story needs:
 * :mod:`repro.serving.engine` — thread-safe :class:`QueryEngine` with
   request micro-batching, LRU answer caching and latency/hit-rate
   instrumentation.
-* :mod:`repro.serving.service` — the stdlib HTTP JSON endpoint behind
-  ``mudbscan serve``.
-* :mod:`repro.serving.fleet` — the sharded multi-worker fleet: spatial
-  kd-routing with a 2ε exactness halo, shared-memory model loading,
-  hot model swap, and the async admission-controlled front door.
+* :mod:`repro.serving.fleet` — the serving fleet behind
+  ``mudbscan serve``: one in-process worker or N worker processes
+  (spatial kd-routing with a 2ε exactness halo, shared-memory model
+  loading), hot model swap, and the async admission-controlled front
+  door, the one HTTP server.
 * :mod:`repro.serving.streaming` — :class:`StreamingEngine`, applying a
   live insert/delete stream to a served :class:`FittedModel` in place
   (no refit, no swap) with staleness/compaction gauges on ``/metrics``.
@@ -36,7 +36,6 @@ from repro.serving.model import (
 )
 from repro.serving.predict import PredictResult, brute_predict, predict_model
 from repro.serving.engine import PredictRow, QueryEngine
-from repro.serving.service import make_server, serve_forever, shutdown_gracefully
 from repro.serving.fleet import (
     Fleet,
     FleetConfig,
@@ -59,9 +58,6 @@ __all__ = [
     "brute_predict",
     "PredictRow",
     "QueryEngine",
-    "make_server",
-    "serve_forever",
-    "shutdown_gracefully",
     "Fleet",
     "FleetConfig",
     "FrontDoor",

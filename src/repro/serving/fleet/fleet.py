@@ -1,6 +1,8 @@
 """The serving fleet: N workers, one active model generation.
 
-:class:`Fleet` owns the worker processes and the request fan-out:
+:class:`Fleet` owns the workers and the request fan-out.  With
+``n_workers=0`` its one worker runs inside this process; with
+``n_workers >= 1`` each worker is a spawned process:
 
 * **routing** — with ``router="kd"`` each worker serves one spatial
   shard and a batch is split by the generation's
@@ -62,6 +64,7 @@ class FleetClosed(RuntimeError):
 class FleetConfig:
     """Knobs for one fleet deployment (docs/TUNING.md)."""
 
+    #: worker processes; 0 runs the one worker inside this process
     n_workers: int = 2
     #: "kd" = spatial shards (one per worker), "none" = full replicas
     router: str = "kd"
@@ -258,7 +261,7 @@ class Fleet:
                 shard_ids = [int(s) for s in np.unique(assignments)]
             else:
                 with self._gen_lock:
-                    wid = self._rr % gen.n_workers
+                    wid = self._rr % len(gen.workers)
                     self._rr += 1
                 assignments = np.full(q.shape[0], wid, dtype=np.int64)
                 shard_ids = [wid]
@@ -368,6 +371,12 @@ class Fleet:
         return self._gen_counter
 
     @property
+    def dim(self) -> int | None:
+        """Dimension of the active generation's model (None when idle)."""
+        with self._gen_lock:
+            return self._active.model_meta["dim"] if self._active is not None else None
+
+    @property
     def version(self) -> str | None:
         with self._gen_lock:
             return self._active.version if self._active is not None else None
@@ -425,7 +434,7 @@ class Fleet:
         yield FamilySnapshot(
             "mudbscan_fleet_workers",
             "gauge",
-            "workers in the active generation",
+            "worker processes in the active generation (0: one in-process worker)",
             [Sample("mudbscan_fleet_workers", (), float(gen.n_workers if gen else 0))],
         )
         yield FamilySnapshot(

@@ -1,9 +1,11 @@
-"""Async HTTP front door for the serving fleet.
+"""Async HTTP front door: the one HTTP server of ``mudbscan serve``.
 
 A single-threaded :mod:`asyncio` server sits in front of the
-:class:`~repro.serving.fleet.fleet.Fleet`: it parses HTTP/1.1 with
-keep-alive, validates request bodies exactly like the single-process
-service, and applies the two admission policies the fleet contract
+:class:`~repro.serving.fleet.fleet.Fleet` at every worker count,
+including the default in-process worker (``n_workers=0``).  It parses
+HTTP/1.1 with keep-alive, validates request bodies against the active
+model (bad JSON, wrong keys, wrong dimension, non-finite values are
+400s), and applies the two admission policies the fleet contract
 requires —
 
 * **back-pressure**: at most ``max_inflight`` predict requests are
@@ -53,9 +55,11 @@ from repro.observability.tail import TraceRetention
 from repro.observability.tracing import Tracer, new_trace_id
 from repro.serving.fleet.fleet import Fleet, FleetClosed
 from repro.serving.fleet.worker import WorkerDied
-from repro.serving.service import MAX_BODY_BYTES
 
-__all__ = ["FrontDoor", "FrontDoorHandle", "start_in_thread"]
+__all__ = ["MAX_BODY_BYTES", "FrontDoor", "FrontDoorHandle", "start_in_thread"]
+
+#: refuse request bodies larger than this (64 MiB) with a 413
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _REASONS = {
     200: "OK",
@@ -75,6 +79,8 @@ class _Request:
     path: str
     headers: dict[str, str]
     body: bytes
+    #: (status, message) when the framing is refused; the body is unread
+    refused: tuple[int, str] | None = None
 
 
 class FrontDoor:
@@ -215,12 +221,18 @@ class FrontDoor:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", "0") or 0)
-        if length > 0:
-            if length > MAX_BODY_BYTES:
-                return _Request(method, path, headers, b"__TOO_LARGE__")
-            body = await reader.readexactly(length)
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            return _Request(
+                method, path, headers, b"",
+                refused=(400, f"bad Content-Length {length!r}"),
+            )
+        if int(length) > MAX_BODY_BYTES:
+            return _Request(
+                method, path, headers, b"",
+                refused=(413, f"body larger than {MAX_BODY_BYTES} bytes"),
+            )
+        body = await reader.readexactly(int(length))
         return _Request(method, path, headers, body)
 
     async def _write_response(
@@ -257,11 +269,11 @@ class FrontDoor:
     async def _dispatch(self, request: _Request, writer) -> bool:
         keep = request.headers.get("connection", "keep-alive").lower() != "close"
         try:
-            if request.body == b"__TOO_LARGE__":
+            if request.refused is not None:
+                # the body was not read, so the connection cannot be reused
+                status, message = request.refused
                 await self._send_json(
-                    writer, 413,
-                    {"error": f"body larger than {MAX_BODY_BYTES} bytes"},
-                    keep_alive=False,
+                    writer, status, {"error": message}, keep_alive=False
                 )
                 return False
             if request.method == "GET":
@@ -379,7 +391,10 @@ class FrontDoor:
     # predict (admission control + deadline budget)
 
     def _parse_queries(self, request: _Request) -> np.ndarray:
-        body = json.loads(request.body)
+        try:
+            body = json.loads(request.body)
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise ValueError(f"body is not valid JSON: {exc}") from exc
         if isinstance(body, dict) and "point" in body:
             raw_points = [body["point"]]
         elif isinstance(body, dict) and "points" in body:
@@ -389,9 +404,14 @@ class FrontDoor:
                 'body must be {"points": [[...], ...]} or {"point": [...]}'
             )
         queries = np.asarray(raw_points, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[0] == 0:
+        dim = self.fleet.dim
+        if (
+            queries.ndim != 2
+            or queries.shape[0] == 0
+            or (dim is not None and queries.shape[1] != dim)
+        ):
             raise ValueError(
-                f"expected a non-empty (k, dim) coordinate array, "
+                f"expected a non-empty (k, {dim}) coordinate array, "
                 f"got shape {queries.shape}"
             )
         if not np.all(np.isfinite(queries)):
@@ -422,7 +442,7 @@ class FrontDoor:
                 )
                 if not (deadline_ms > 0):
                     raise ValueError(f"X-Deadline-Ms must be > 0, got {deadline_ms}")
-            except (ValueError, TypeError, UnicodeDecodeError) as exc:
+            except (ValueError, TypeError) as exc:
                 status, payload = 400, {"error": str(exc)}
             else:
                 self._inflight += 1
@@ -541,7 +561,7 @@ class FrontDoor:
 
 
 # ---------------------------------------------------------------------------
-# thread harness (tests + `mudbscan serve --workers N`)
+# thread harness (tests, embedding)
 
 
 class FrontDoorHandle:

@@ -1,7 +1,8 @@
 """Model generations + the hot-swap protocol.
 
 A :class:`Generation` is one immutable deployment of one model version:
-its shared-memory segments, its kd-shard plan and its worker processes.
+its shared-memory segments, its kd-shard plan and its worker processes
+(or, at ``n_workers=0``, its one in-process worker and no segments).
 The fleet serves exactly one *active* generation at a time; a hot swap
 
 1. **loads** the new model and publishes its arrays to fresh
@@ -35,7 +36,11 @@ from typing import Any
 import numpy as np
 
 from repro.serving.fleet.router import ShardPlan, plan_shards
-from repro.serving.fleet.worker import WorkerClient, fleet_worker_main
+from repro.serving.fleet.worker import (
+    InProcessWorker,
+    WorkerClient,
+    fleet_worker_main,
+)
 from repro.serving.model import FittedModel
 
 __all__ = ["Generation", "SwapReport", "launch_generation", "retire_generation"]
@@ -55,14 +60,18 @@ class SwapReport:
 
 @dataclass
 class Generation:
-    """One deployed model version: segments + plan + worker set."""
+    """One deployed model version: segments + plan + worker set.
+
+    ``n_workers`` is the configured process count; at 0 ``workers`` holds
+    the one in-process worker and ``segments`` is empty.
+    """
 
     number: int
     version: str
     n_workers: int
     router: str
     plan: ShardPlan | None
-    workers: list[WorkerClient]
+    workers: list[WorkerClient | InProcessWorker]
     segments: list[shared_memory.SharedMemory]
     model_meta: dict[str, Any]
     _inflight: int = 0
@@ -96,10 +105,7 @@ class Generation:
 
     @property
     def ready(self) -> bool:
-        return all(
-            w.alive and w.ready_event.is_set() and w.ready_meta is not None
-            for w in self.workers
-        )
+        return all(w.alive and w.ready_meta is not None for w in self.workers)
 
 
 def launch_generation(
@@ -112,23 +118,65 @@ def launch_generation(
     ready_timeout: float = 120.0,
     obs_opts: dict[str, Any] | None = None,
 ) -> Generation:
-    """Publish ``model`` to shared memory and warm a full worker set.
+    """Warm a full worker set for ``model``; blocks until it is ready.
 
-    Blocks until every worker reports ready (or raises, tearing down
-    anything already started).  ``router="kd"`` gives each worker one
-    spatial shard; ``"none"`` gives each worker a full replica (the
-    front door then round-robins whole requests).  ``obs_opts`` ships
-    the parent's observability config (event-log sink, worker metrics
-    toggle) to each spawned worker.
+    ``n_workers=0`` runs the one worker inside this process (an
+    :class:`~repro.serving.fleet.worker.InProcessWorker`) and starts no
+    process, pipe or shared-memory segment.  ``n_workers >= 1``
+    publishes the model to shared memory and spawns that many workers,
+    tearing down anything already started if one fails.  ``router="kd"``
+    gives each spawned worker one spatial shard; ``"none"`` gives each a
+    full replica (the front door then round-robins whole requests).
+    ``obs_opts`` carries the parent's observability config (event-log
+    sink, worker metrics toggle) to the workers.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    if n_workers < 0:
+        raise ValueError(f"n_workers must be >= 0, got {n_workers}")
     if router not in ("kd", "none"):
         raise ValueError(f"router must be 'kd' or 'none', got {router!r}")
+    engine_opts = dict(engine_opts or {})
+    obs_opts = dict(obs_opts or {})
     plan = plan_shards(model, n_workers) if router == "kd" and n_workers > 1 else None
+    if n_workers == 0:
+        segments, workers = [], [InProcessWorker(model, engine_opts, obs_opts)]
+    else:
+        segments, workers = _spawn_workers(
+            model, n_workers, plan, engine_opts, obs_opts, ready_timeout
+        )
+    gen = Generation(
+        number=number,
+        version=model.version_token(),
+        n_workers=n_workers,
+        router=router,
+        plan=plan,
+        workers=workers,
+        segments=segments,
+        model_meta={
+            "n": model.n,
+            "dim": model.dim,
+            "n_micro_clusters": model.n_micro_clusters,
+            "eps": model.params.eps,
+            "min_pts": model.params.min_pts,
+            "metric": model.metric_name,
+            "engine": model.engine,
+        },
+    )
+    gen._drained.set()
+    return gen
+
+
+def _spawn_workers(
+    model: FittedModel,
+    n_workers: int,
+    plan: ShardPlan | None,
+    engine_opts: dict[str, Any],
+    obs_opts: dict[str, Any],
+    ready_timeout: float,
+) -> tuple[list[shared_memory.SharedMemory], list[WorkerClient]]:
+    """Publish ``model`` to shared memory and start ``n_workers`` warm
+    worker processes over it."""
     header = model.header_dict()
     ctx = mp.get_context("spawn")
-
     segments: list[shared_memory.SharedMemory] = []
     workers: list[WorkerClient] = []
     try:
@@ -153,8 +201,8 @@ def launch_generation(
                     wid if plan is not None else None,
                     req_r,
                     resp_w,
-                    dict(engine_opts or {}),
-                    dict(obs_opts or {}),
+                    engine_opts,
+                    obs_opts,
                 ),
                 name=f"mudbscan-fleet-worker-{wid}",
                 daemon=True,
@@ -164,26 +212,7 @@ def launch_generation(
         deadline = time.monotonic() + ready_timeout
         for w in workers:
             w.wait_ready(max(0.1, deadline - time.monotonic()))
-        gen = Generation(
-            number=number,
-            version=model.version_token(),
-            n_workers=n_workers,
-            router=router,
-            plan=plan,
-            workers=workers,
-            segments=segments,
-            model_meta={
-                "n": model.n,
-                "dim": model.dim,
-                "n_micro_clusters": model.n_micro_clusters,
-                "eps": model.params.eps,
-                "min_pts": model.params.min_pts,
-                "metric": model.metric_name,
-                "engine": model.engine,
-            },
-        )
-        gen._drained.set()
-        return gen
+        return segments, workers
     except BaseException:
         for w in workers:
             try:

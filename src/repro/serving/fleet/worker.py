@@ -1,7 +1,9 @@
-"""Fleet worker process + its parent-side handle.
+"""Fleet workers: the spawned process, its parent-side handle, and
+the in-process worker.
 
-A worker is one spawned process serving one shard (or a full replica)
-of a :class:`~repro.serving.model.FittedModel`:
+A worker serves one shard (or a full replica) of a
+:class:`~repro.serving.model.FittedModel`.  With ``n_workers >= 1``
+each worker is a spawned process:
 
 * the **payload arrays ride shared memory** — the parent reads the
   artifact once, places the arrays in
@@ -28,6 +30,10 @@ of a :class:`~repro.serving.model.FittedModel`:
   reply — one request, one span tree across N processes;
 * **SIGTERM drains**: the in-progress request is finished and answered
   before the worker exits (the fleet's graceful-shutdown contract).
+
+With ``n_workers=0`` the one worker is an :class:`InProcessWorker`: no
+process, pipe or shared memory, just a single-thread executor in the
+caller's process.  Both kinds answer through :class:`WorkerCore`.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from multiprocessing import connection, shared_memory
 from typing import Any
 
@@ -48,7 +54,7 @@ from repro.observability.tracing import Tracer
 from repro.serving.engine import QueryEngine
 from repro.serving.model import FittedModel
 
-__all__ = ["WorkerClient", "fleet_worker_main"]
+__all__ = ["InProcessWorker", "WorkerClient", "WorkerCore", "fleet_worker_main"]
 
 #: (segment name, shape, dtype str) describing one shared array
 ShmSpec = tuple[str, tuple[int, ...], str]
@@ -75,12 +81,11 @@ def fleet_worker_main(
     req_conn: connection.Connection,
     resp_conn: connection.Connection,
     engine_opts: dict[str, Any],
-    obs_opts: dict[str, Any] | None = None,
+    obs_opts: dict[str, Any],
 ) -> None:
     """Spawn-side entry: map the model, build the shard, serve the pipe."""
     terminating = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: terminating.set())
-    obs_opts = obs_opts or {}
     log = EventLog.from_config(
         obs_opts.get("event_log"), component=f"worker{worker_id}"
     )
@@ -94,43 +99,14 @@ def fleet_worker_main(
             arr.flags.writeable = False
             arrays[name] = arr
         full = FittedModel.from_arrays(arrays, header)
-        global_rows: np.ndarray | None = None
-        if plan is not None and shard_id is not None:
-            from repro.serving.fleet.router import build_shard_model
-
-            shard = build_shard_model(full, plan, shard_id)
-            model, global_rows = shard.model, shard.global_rows
-        else:
-            model = full
-        # the worker's own registry: snapshotted onto stats replies so
-        # the front door can aggregate per-worker series at scrape time
-        registry = MetricsRegistry(enabled=obs_opts.get("worker_metrics", True))
-        engine = QueryEngine(model, max_wait_ms=0.0, registry=registry, **engine_opts)
-        engine.warmup()
-        resp_conn.send(
-            (
-                "ready",
-                {
-                    "worker_id": worker_id,
-                    "pid": os.getpid(),
-                    "shard_id": shard_id,
-                    "version": full.version_token(),
-                    "n_points": model.n,
-                    "n_micro_clusters": model.n_micro_clusters,
-                },
-            )
+        core = WorkerCore(
+            worker_id, full, plan, shard_id, engine_opts, obs_opts, log
         )
-        log.info(
-            "worker_ready", pid=os.getpid(), shard_id=shard_id,
-            n_points=int(model.n), version=full.version_token(),
-        )
+        resp_conn.send(("ready", core.ready_meta))
         try:
-            _serve_loop(
-                worker_id, engine, registry, global_rows,
-                req_conn, resp_conn, terminating, log,
-            )
+            _serve_loop(core, req_conn, resp_conn, terminating)
         finally:
-            engine.close()
+            core.engine.close()
     except BaseException as exc:  # noqa: BLE001 — ferried to the parent
         log.error("worker_fatal", error=repr(exc))
         try:
@@ -146,23 +122,119 @@ def fleet_worker_main(
                 pass  # live model views pin the mapping; exit unmaps it
 
 
+class WorkerCore:
+    """One worker's serving state and its per-request helpers.
+
+    Both worker kinds answer through this class: the spawned worker's
+    pipe loop and the in-process worker's executor call the same
+    :meth:`predict` and :meth:`stats`, so deadlines, tracing, answer
+    tuples and error texts cannot drift between them.
+    """
+
+    def __init__(
+        self,
+        worker_id: int,
+        full: FittedModel,
+        plan,
+        shard_id: int | None,
+        engine_opts: dict[str, Any],
+        obs_opts: dict[str, Any],
+        log: EventLog,
+    ) -> None:
+        self.worker_id = worker_id
+        self.log = log
+        self.global_rows: np.ndarray | None = None
+        model = full
+        if plan is not None and shard_id is not None:
+            from repro.serving.fleet.router import build_shard_model
+
+            shard = build_shard_model(full, plan, shard_id)
+            model, self.global_rows = shard.model, shard.global_rows
+        # the worker's own registry: snapshotted onto stats replies so
+        # the front door can aggregate per-worker series at scrape time
+        self.registry = MetricsRegistry(enabled=obs_opts.get("worker_metrics", True))
+        self.engine = QueryEngine(
+            model, max_wait_ms=0.0, registry=self.registry, **engine_opts
+        )
+        self.engine.warmup()
+        self.ready_meta = {
+            "worker_id": worker_id,
+            "pid": os.getpid(),
+            "shard_id": shard_id,
+            "version": full.version_token(),
+            "n_points": model.n,
+            "n_micro_clusters": model.n_micro_clusters,
+        }
+        log.info(
+            "worker_ready", pid=os.getpid(), shard_id=shard_id,
+            n_points=int(model.n), version=full.version_token(),
+        )
+
+    def predict(
+        self,
+        queries: np.ndarray,
+        deadline_ts: float | None,
+        trace_ctx: dict[str, Any] | None,
+    ) -> tuple[tuple, dict[str, Any] | None]:
+        """Answer one request: ``(answer arrays, extras | None)``.
+
+        Raises :class:`RuntimeError` carrying the text the fleet maps
+        to a status — ``"deadline exceeded before work"`` when the
+        deadline passed while the request was queued, else the repr of
+        the engine's exception.
+        """
+        trace_id = (trace_ctx or {}).get("trace_id")
+        if deadline_ts is not None and time.time() > deadline_ts:
+            self.log.warning(
+                "request_dropped", reason="deadline exceeded before work",
+                trace_id=trace_id,
+            )
+            raise RuntimeError("deadline exceeded before work")
+        try:
+            res, spans = _traced_predict(
+                self.engine, queries, trace_ctx, self.worker_id
+            )
+        except Exception as exc:  # keep serving after a bad request
+            self.log.warning("request_failed", error=repr(exc), trace_id=trace_id)
+            raise RuntimeError(repr(exc)) from exc
+        nearest = res.nearest_core
+        if self.global_rows is not None:
+            nearest = np.full(res.nearest_core.shape, -1, dtype=np.int64)
+            hit = res.nearest_core >= 0
+            nearest[hit] = self.global_rows[res.nearest_core[hit]]
+        answer = (
+            res.labels,
+            res.would_be_core,
+            nearest,
+            res.nearest_core_dist,
+            res.n_neighbors,
+        )
+        return answer, ({"spans": spans} if spans else None)
+
+    def stats(self) -> dict[str, Any]:
+        """Engine counters plus a snapshot of the worker's registry."""
+        stats = self.engine.stats()
+        stats["worker_id"] = self.worker_id
+        stats["pid"] = os.getpid()
+        stats["metrics_families"] = _registry_snapshot(self.registry)
+        return stats
+
+
 def _serve_loop(
-    worker_id: int,
-    engine: QueryEngine,
-    registry: MetricsRegistry,
-    global_rows: np.ndarray | None,
+    core: WorkerCore,
     req_conn: connection.Connection,
     resp_conn: connection.Connection,
     terminating: threading.Event,
-    log: EventLog,
 ) -> None:
     while True:
         # poll so a SIGTERM between requests is noticed promptly; a
         # request already being answered below always completes first
         if not req_conn.poll(0.05):
             if terminating.is_set():
-                log.info("worker_drained", reason="sigterm")
-                resp_conn.send(("bye", {"worker_id": worker_id, "reason": "sigterm"}))
+                core.log.info("worker_drained", reason="sigterm")
+                resp_conn.send(
+                    ("bye", {"worker_id": core.worker_id, "reason": "sigterm"})
+                )
                 return
             continue
         try:
@@ -171,56 +243,21 @@ def _serve_loop(
             return  # parent went away; nothing left to answer
         kind = msg[0]
         if kind == "predict":
-            # older 4-tuples (no trace context) remain valid on the wire
-            _, req_id, queries, deadline_ts, *rest = msg
-            trace_ctx = rest[0] if rest else None
-            if deadline_ts is not None and time.time() > deadline_ts:
-                log.warning(
-                    "request_dropped", reason="deadline exceeded before work",
-                    trace_id=(trace_ctx or {}).get("trace_id"),
-                )
-                resp_conn.send(("error", req_id, "deadline exceeded before work"))
-                continue
+            _, req_id, queries, deadline_ts, trace_ctx = msg
             try:
-                res, spans = _traced_predict(engine, queries, trace_ctx, worker_id)
-                nearest = res.nearest_core
-                if global_rows is not None:
-                    out = np.full(nearest.shape, -1, dtype=np.int64)
-                    hit = nearest >= 0
-                    out[hit] = global_rows[nearest[hit]]
-                    nearest = out
-                resp_conn.send(
-                    (
-                        "result",
-                        req_id,
-                        (
-                            res.labels,
-                            res.would_be_core,
-                            nearest,
-                            res.nearest_core_dist,
-                            res.n_neighbors,
-                        ),
-                        {"spans": spans} if spans else None,
-                    )
-                )
-            except Exception as exc:  # keep serving after a bad request
-                log.warning(
-                    "request_failed", error=repr(exc),
-                    trace_id=(trace_ctx or {}).get("trace_id"),
-                )
-                resp_conn.send(("error", req_id, repr(exc)))
+                answer, extras = core.predict(queries, deadline_ts, trace_ctx)
+            except RuntimeError as exc:
+                resp_conn.send(("error", req_id, str(exc)))
+            else:
+                resp_conn.send(("result", req_id, answer, extras))
         elif kind == "stats":
-            _, req_id = msg
-            stats = engine.stats()
-            stats["worker_id"] = worker_id
-            stats["pid"] = os.getpid()
-            stats["metrics_families"] = _registry_snapshot(registry)
-            resp_conn.send(("stats", req_id, stats))
+            resp_conn.send(("stats", msg[1], core.stats()))
         elif kind == "shutdown":
-            log.info("worker_drained", reason="shutdown")
-            resp_conn.send(("bye", {"worker_id": worker_id, "reason": "shutdown"}))
+            core.log.info("worker_drained", reason="shutdown")
+            resp_conn.send(
+                ("bye", {"worker_id": core.worker_id, "reason": "shutdown"})
+            )
             return
-        # unknown kinds are ignored (forward compatibility)
 
 
 def _traced_predict(
@@ -309,8 +346,7 @@ class WorkerClient:
                 self.ready_event.set()
             elif kind == "result":
                 # (arrays, extras) — extras carries worker-side spans
-                payload = (msg[2], msg[3] if len(msg) > 3 else None)
-                self._resolve(msg[1], lambda fut, p=payload: fut.set_result(p))
+                self._resolve(msg[1], lambda fut, p=msg[2:]: fut.set_result(p))
             elif kind == "stats":
                 self._resolve(msg[1], lambda fut, payload=msg[2]: fut.set_result(payload))
             elif kind == "error":
@@ -402,3 +438,53 @@ class WorkerClient:
                 conn.close()
             except OSError:
                 pass
+
+
+class InProcessWorker:
+    """The one worker of an ``n_workers=0`` fleet, inside the caller.
+
+    It has :class:`WorkerClient`'s surface, but a single-thread executor
+    stands in for the process and its pipes: each request runs
+    :meth:`WorkerCore.predict` on the executor thread, so the door's
+    event loop never computes and the answers, errors and spans are the
+    ones a spawned worker would send.
+    """
+
+    def __init__(
+        self,
+        model: FittedModel,
+        engine_opts: dict[str, Any],
+        obs_opts: dict[str, Any],
+    ) -> None:
+        self.worker_id = 0
+        log = EventLog.from_config(obs_opts.get("event_log"), component="worker0")
+        self.core = WorkerCore(0, model, None, None, engine_opts, obs_opts, log)
+        self.ready_meta = self.core.ready_meta
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="fleet-worker-0"
+        )
+        self._closed = False
+
+    @property
+    def alive(self) -> bool:
+        return not self._closed
+
+    def submit_predict(
+        self,
+        queries: np.ndarray,
+        deadline_ts: float | None = None,
+        trace_ctx: dict[str, Any] | None = None,
+    ) -> Future:
+        """Future resolving to ``(answer arrays tuple, extras | None)``."""
+        return self._executor.submit(self.core.predict, queries, deadline_ts, trace_ctx)
+
+    def fetch_stats(self, timeout: float = 5.0) -> dict[str, Any]:
+        return self.core.stats()
+
+    def shutdown(self) -> None:
+        """Finish the queued requests, then close the engine."""
+        self._closed = True
+        self._executor.shutdown(wait=True)
+        self.core.log.info("worker_drained", reason="shutdown")
+        self.core.engine.close()
+        self.core.log.close()

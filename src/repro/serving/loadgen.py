@@ -11,10 +11,9 @@ The harness behind ``mudbscan loadtest`` and ``perf_smoke --fleet``:
 * **two traffic shapes** — synthetic queries drawn uniformly from a
   box around the model's data, or **replay** of a caller-supplied
   query array (e.g. held-out rows of the fitted dataset).
-* **two targets** — an HTTP URL (the front door or the single-process
-  service; persistent keep-alive connection per client thread) or any
-  in-process object with a ``predict(queries)`` method (a
-  :class:`~repro.serving.fleet.fleet.Fleet` or
+* **two targets** — an HTTP URL (the front door; persistent keep-alive
+  connection per client thread) or any in-process object with a
+  ``predict(queries)`` method (a :class:`~repro.serving.fleet.fleet.Fleet` or
   :class:`~repro.serving.engine.QueryEngine`), which takes HTTP
   parsing out of the measurement.
 * **rate sweeps + saturation detection** — :func:`sweep_rates` maps

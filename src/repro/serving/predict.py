@@ -95,7 +95,7 @@ class PredictResult:
         return int(self.labels.shape[0])
 
     def as_payload(self) -> dict:
-        """JSON-ready dict (the HTTP service's response body)."""
+        """JSON-ready dict (the HTTP ``/predict`` response body)."""
         dists = [
             None if not np.isfinite(d) else float(d)
             for d in self.nearest_core_dist

@@ -1,10 +1,23 @@
 """Tests for the command-line interface and dataset file I/O."""
 
+import http.client
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.data.io import load_points, save_points
+from repro.data.synthetic import blobs_with_noise
+from repro.serving.model import fit_model, save_model
+from repro.serving.predict import predict_model
 
 
 class TestIO:
@@ -173,3 +186,94 @@ class TestServingCLI:
         with pytest.raises(FileNotFoundError):
             main(["predict", "--model", str(tmp_path / "nope.mudb"),
                   "--input", str(queries_path)])
+
+
+def _session_pids(sid: int) -> list[int]:
+    """Live processes whose session id is ``sid`` (from /proc)."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[3]) == sid and fields[0] != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--workers", "2", "--router", "kd"]],
+    ids=["in-process", "two-kd-workers"],
+)
+class TestServeVerb:
+    def test_serve_end_to_end(self, tmp_path, extra):
+        """``python -m repro.cli serve`` as a real server: ready, exact
+        answers, a 400's trace retrievable by its request id, and a
+        SIGTERM exit 0 that leaves no process and no shared memory."""
+        pts = blobs_with_noise(300, 2, 3, noise_fraction=0.25, seed=7)
+        model = fit_model(pts, 0.08, 6)
+        save_model(model, tmp_path / "m.mudb")
+        events = tmp_path / "events.jsonl"
+        shm_before = set(os.listdir("/dev/shm"))
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        with open(tmp_path / "server.log", "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--model", str(tmp_path / "m.mudb"), "--port", "0", "--trace",
+                 "--event-log", str(events), *extra],
+                env=env, stdout=log, stderr=log, stdin=subprocess.DEVNULL,
+                start_new_session=True,
+            )
+
+        def request(method, path, body=None):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request(method, path, body)
+                resp = conn.getresponse()
+                rid = resp.getheader("X-Request-Id")
+                return resp.status, rid, json.loads(resp.read())
+            finally:
+                conn.close()
+
+        try:
+            deadline = time.monotonic() + 120.0
+            port = None
+            while port is None:
+                assert proc.poll() is None, (tmp_path / "server.log").read_text()
+                assert time.monotonic() < deadline, "server never listened"
+                time.sleep(0.05)
+                if events.exists():
+                    # only complete lines: the server may be mid-write
+                    for line in events.read_text().split("\n")[:-1]:
+                        event = json.loads(line)
+                        if event["event"] == "listening":
+                            port = int(event["url"].rsplit(":", 1)[1])
+
+            assert request("GET", "/readyz")[0] == 200
+            queries = pts[:32]
+            status, _, body = request(
+                "POST", "/predict", json.dumps({"points": queries.tolist()})
+            )
+            assert status == 200
+            want = predict_model(model, queries)
+            assert body["labels"] == want.labels.tolist()
+            assert body["nearest_core"] == want.nearest_core.tolist()
+
+            status, rid, body = request("POST", "/predict", b'{"points": [[1, 2, 3]]}')
+            assert status == 400 and body["request_id"] == rid
+            while (trace := request("GET", f"/traces/{rid}"))[0] != 200:
+                assert time.monotonic() < deadline, "errored request not retained"
+                time.sleep(0.02)
+            assert trace[2]["status"] == 400
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            while _session_pids(proc.pid):  # helpers exit once the server has
+                assert time.monotonic() < deadline + 30.0, _session_pids(proc.pid)
+                time.sleep(0.05)
+            assert set(os.listdir("/dev/shm")) == shm_before
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()

@@ -1,4 +1,5 @@
-"""The process fleet end-to-end: workers, front door, hot swap.
+"""The fleet end-to-end: spawned and in-process workers, front door,
+hot swap.
 
 Spawned-process tests are kept deliberately small (2-worker fleets on
 a few-hundred-point model) — the exactness burden lives in the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -141,6 +143,27 @@ class TestFleet:
             assert worker.proc.exitcode == 0
         finally:
             f.close()
+
+
+class TestInProcessWorker:
+    def test_starts_no_process_or_segment(self, model, queries):
+        """``n_workers=0``: the worker runs in this process, over the
+        model itself — no child process, no shared-memory segment."""
+        shm_before = set(os.listdir("/dev/shm"))
+        children_before = set(multiprocessing.active_children())
+        with Fleet(model, FleetConfig(n_workers=0)) as f:
+            assert set(multiprocessing.active_children()) == children_before
+            assert set(os.listdir("/dev/shm")) == shm_before
+            assert f._active.segments == []
+            desc = f.describe()
+            assert desc["n_workers"] == 0
+            assert [w["pid"] for w in desc["workers"]] == [os.getpid()]
+            got = f.predict(queries, timeout=60)
+            want = predict_model(model, queries)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            np.testing.assert_array_equal(got.nearest_core, want.nearest_core)
+            np.testing.assert_array_equal(got.nearest_core_dist, want.nearest_core_dist)
+        assert set(os.listdir("/dev/shm")) == shm_before
 
 
 class TestHotSwap:

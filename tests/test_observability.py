@@ -290,37 +290,27 @@ class TestDistributedTracing:
 
 class TestMetricsEndpoint:
     def test_metrics_scrape_is_valid_prometheus(self, small_blobs):
-        from repro.serving.engine import QueryEngine
+        """``GET /metrics`` on the default server (the front door over
+        the in-process worker): valid text, fleet series, and the
+        worker engine's series labelled ``worker="0"``."""
+        from repro.serving.fleet import Fleet, FleetConfig, start_in_thread
         from repro.serving.model import fit_model
-        from repro.serving.service import make_server
 
         model = fit_model(small_blobs, 0.08, 6)
-        engine = QueryEngine(
-            model, max_wait_ms=1.0, registry=MetricsRegistry()
-        )
-        server = make_server(engine, port=0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://127.0.0.1:{port}"
+        fleet = Fleet(model, FleetConfig(n_workers=0), registry=MetricsRegistry())
+        with fleet, start_in_thread(fleet, port=0) as door:
             body = json.dumps({"points": small_blobs[:4].tolist()}).encode()
             req = urllib.request.Request(
-                base + "/predict",
+                door.url + "/predict",
                 data=body,
                 headers={"Content-Type": "application/json"},
             )
             with urllib.request.urlopen(req, timeout=10.0):
                 pass
-            with urllib.request.urlopen(base + "/metrics", timeout=10.0) as resp:
+            with urllib.request.urlopen(door.url + "/metrics", timeout=10.0) as resp:
                 assert resp.status == 200
                 assert resp.headers["Content-Type"] == CONTENT_TYPE
                 text = resp.read().decode("utf-8")
-        finally:
-            server.shutdown()
-            server.server_close()
-            engine.close()
-            thread.join(timeout=5.0)
         lines = text.splitlines()
         assert lines, "scrape must not be empty"
         for line in lines:
@@ -331,14 +321,16 @@ class TestMetricsEndpoint:
                 continue
             name_part, value = line.rsplit(" ", 1)
             samples[name_part] = float(value)
-        assert samples["mudbscan_serving_requests_total"] >= 4
-        assert 0.0 <= samples["mudbscan_serving_cache_hit_ratio"] <= 1.0
+        assert samples["mudbscan_fleet_requests_total"] == 1
+        assert samples['mudbscan_serving_requests_total{worker="0"}'] >= 4
+        assert 0.0 <= samples['mudbscan_serving_cache_hit_ratio{worker="0"}'] <= 1.0
         hist_lines = [
             name for name in samples
             if name.startswith("mudbscan_serving_request_latency_seconds_bucket")
         ]
         assert any('le="+Inf"' in name for name in hist_lines)
-        assert samples["mudbscan_serving_request_latency_seconds_count"] >= 4
+        count = 'mudbscan_serving_request_latency_seconds_count{worker="0"}'
+        assert samples[count] >= 4
 
 
 class TestDisabledModeCost:
