@@ -39,6 +39,7 @@ from repro.distributed.halo import exchange_halo
 from repro.distributed.local import run_local_mu_dbscan
 from repro.distributed.merging import resolve_fragments
 from repro.distributed.partition import kd_partition
+from repro.geometry.distance import require_finite
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.observability.adapters import publish_comm_stats, publish_run
@@ -213,6 +214,7 @@ def mu_dbscan_d(
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be (n, d), got shape {pts.shape}")
+    require_finite(pts)
 
     tracer = tracer if tracer is not None else current_tracer()
     profiler = profiler if profiler is not None else current_profiler()

@@ -27,7 +27,22 @@ __all__ = [
     "neighbors_within",
     "count_within",
     "chunked_pairwise_apply",
+    "require_finite",
 ]
+
+
+def require_finite(points: np.ndarray, what: str = "points") -> None:
+    """Raise ``ValueError`` naming the first row of the ``(n, d)`` array
+    ``points`` that holds a NaN or ±inf.
+
+    Every distance bound and grid-cell hash assumes finite coordinates,
+    so the fit entry points call this before any of them runs."""
+    finite = np.isfinite(points)
+    if finite.all():
+        return
+    row = int(np.argmin(finite.all(axis=1)))
+    value = points[row][~finite[row]][0]
+    raise ValueError(f"{what} must be finite: row {row} holds {value}")
 
 
 def _as2d(points: np.ndarray) -> np.ndarray:

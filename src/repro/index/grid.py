@@ -25,7 +25,75 @@ import numpy as np
 from repro.geometry.distance import sq_dists_to_point
 from repro.instrumentation.counters import Counters
 
-__all__ = ["UniformGrid", "CenterGrid"]
+__all__ = ["UniformGrid", "CenterGrid", "neighbor_cells"]
+
+#: element budget of one lookup chunk in :func:`neighbor_cells` — bounds
+#: its largest temporary (int64 probes or differences) to 4 MiB
+_NEIGHBOR_TEMP_ELEMS = 1 << 19
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque, totally ordered key per int64 row: the row's bytes
+    as a ``void`` scalar.  Nothing is linearised, so no key can overflow
+    however many cells each axis spans."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
+
+
+def neighbor_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied cells adjacent to every occupied cell (Chebyshev
+    distance ≤ 1, the cell itself included), in any dimension.
+
+    ``cells`` is the ``(k, d)`` int64 stack of *distinct* occupied cell
+    coordinates.  Returns CSR arrays ``(indptr, nbrs)``: the neighbours
+    of cell ``i`` are ``nbrs[indptr[i]:indptr[i + 1]]``, ascending
+    indices into ``cells``.
+
+    :meth:`UniformGrid.neighbor_cell_keys`'s rule, vectorised over all
+    cells at once: when the ``3 ** d`` stencil is smaller than the
+    occupied set, every stencil offset is looked up in the sorted cell
+    keys with ``searchsorted``; otherwise each cell is compared against
+    the whole occupied set.  Both run in chunks of
+    ``_NEIGHBOR_TEMP_ELEMS`` elements.
+    """
+    cells = np.ascontiguousarray(cells, dtype=np.int64)
+    if cells.ndim != 2:
+        raise ValueError(f"cells must be (k, d), got shape {cells.shape}")
+    k, d = cells.shape
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    if k and 3**d <= k:
+        keys = _row_keys(cells)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        offsets = np.stack(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"), axis=-1)
+        offsets = offsets.reshape(-1, d)
+        step = max(1, _NEIGHBOR_TEMP_ELEMS // (k * d))
+        for s in range(0, offsets.shape[0], step):
+            off = offsets[s : s + step]
+            probes = _row_keys((cells[:, None, :] + off[None, :, :]).reshape(-1, d))
+            pos = np.minimum(np.searchsorted(sorted_keys, probes), k - 1)
+            found = np.flatnonzero(sorted_keys[pos] == probes)
+            src_parts.append(found // off.shape[0])
+            dst_parts.append(order[pos[found]])
+    else:
+        # compare on the first axis, then narrow the surviving pairs one
+        # axis at a time: far cells drop out after a few axes
+        axes = np.ascontiguousarray(cells.T)
+        step = max(1, _NEIGHBOR_TEMP_ELEMS // max(1, k))
+        for s in range(0, k, step):
+            diff = axes[0, s : s + step, None] - axes[0, None, :]
+            i, j = np.nonzero(np.abs(diff, out=diff) <= 1)
+            i += s
+            for col in axes[1:]:
+                keep = np.abs(col[i] - col[j]) <= 1
+                i, j = i[keep], j[keep]
+            src_parts.append(i)
+            dst_parts.append(j)
+    src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
+    dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
+    order = np.lexsort((dst, src))
+    return np.searchsorted(src[order], np.arange(k + 1)), dst[order]
 
 
 class UniformGrid:

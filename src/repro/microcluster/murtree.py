@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.distance import sq_dists_to_point
+from repro.geometry.distance import require_finite, sq_dists_to_point
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
 from repro.geometry.regions import point_rect_sq_dist
 from repro.index.rtree import RTree, PointRTree
@@ -157,7 +157,9 @@ class MuRTree:
         Micro-cluster construction strategy: ``"grid"`` (default, the
         vectorized grid-hash block sweep) or ``"scan"`` (the reference
         per-point loop).  Bit-identical results either way; ``"grid"``
-        also switches reachability to the batched ``m × m`` sweep.
+        also switches reachability (Algorithm 5) from one level-1 tree
+        probe per MC to the grid join of
+        :func:`~repro.microcluster.reachability.compute_reachable_batched`.
     builder_block_size:
         Grid builder only: scan rows per vectorized sweep block.
     """
@@ -190,6 +192,7 @@ class MuRTree:
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise ValueError(f"points must be (n, d), got shape {self.points.shape}")
+        require_finite(self.points)
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
         self.eps = float(eps)
@@ -244,6 +247,10 @@ class MuRTree:
         them instead of re-running Algorithm 3 — tree construction is
         the dominant phase (Table III), so amortising it is the whole
         point of the incremental mode.  Every MC must already be frozen.
+        ``builder`` picks Algorithm 5's path as in the constructor:
+        ``"scan"`` probes the caller's level-1 tree once per MC (the
+        streaming extension maintains that tree), ``"grid"`` runs the
+        grid join over the centers.
         """
         self = cls.__new__(cls)
         self.points = np.ascontiguousarray(points, dtype=np.float64)
@@ -258,9 +265,6 @@ class MuRTree:
         self.filtration = filtration
         self.counters = counters if counters is not None else Counters()
         self.metric = get_metric(metric)
-        # "scan" keeps reachability on the caller's dynamic tree (the
-        # streaming extension maintains one); "grid" uses the batched
-        # m × m sweep, e.g. after a bulk seed fit
         self.builder = builder
         self.mcs = mcs
         self.level1 = level1

@@ -15,11 +15,16 @@ import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.regions import sphere_intersects_rects_block
+from repro.index.grid import neighbor_cells
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MicroCluster
 
 __all__ = ["compute_reachable", "compute_reachable_batched"]
+
+#: element budget (rows x candidates x d) of one distance block of the
+#: grid join — bounds each float64 temporary to 4 MiB
+_JOIN_TEMP_ELEMS = 1 << 19
 
 
 def compute_reachable(
@@ -61,19 +66,21 @@ def compute_reachable_batched(
     eps: float,
     counters: Counters | None = None,
     metric: Metric = EUCLIDEAN,
-    block_size: int = 4096,
 ) -> None:
     """Populate ``mc.reach_ids`` for every MC without touching the tree.
 
-    The per-MC path probes the first-level R-tree once per MC and then
-    tests the shortlisted centers; with ``m`` centers already available
-    as one matrix, an ``m × m`` sweep (chunked to ``block_size`` rows)
-    does both steps vectorized.  The tree probe's candidate set is
-    exactly the set of ``center ± eps`` boxes the ``3ε`` ball touches
-    (internal-node pruning never rejects a hit leaf), so replaying that
-    ball-vs-box predicate per pair reproduces the same candidate counts
-    — ``dist_calcs`` and the sorted ``reach_ids`` come out identical to
-    :func:`compute_reachable`.
+    A spatial join over a uniform grid of the centers.  The tree probe's
+    candidate set is exactly the set of ``center ± eps`` boxes the ball
+    ``B(center, 3 eps · cover)`` touches (internal-node pruning never
+    rejects a hit leaf), and a box can only be touched when
+    ``|Δ| <= 3 eps · cover + eps`` on every axis.  Hashing the centers
+    into cells slightly wider than that bound therefore puts every hit
+    pair in the same or adjacent cells, so each occupied cell replays the
+    tree's ball-vs-box predicate and the exact ``<= 3 eps`` test on the
+    centers of its neighbouring cells only — a superset of its hits.
+    ``dist_calcs`` and the sorted ``reach_ids`` come out identical to
+    :func:`compute_reachable`, in time proportional to the candidate
+    pairs rather than ``m²``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -82,16 +89,52 @@ def compute_reachable_batched(
     if m == 0:
         return
     centers = np.ascontiguousarray(np.stack([mc.center for mc in mcs]))
-    cover = metric.l2_cover_factor(centers.shape[1])
-    radius = 3.0 * eps * cover
+    d = centers.shape[1]
+    radius = 3.0 * eps * metric.l2_cover_factor(d)
     limit_raw = metric.threshold(3.0 * eps)
     lows = centers - eps
     highs = centers + eps
-    for start in range(0, m, block_size):
-        sub = centers[start : start + block_size]
-        hit = sphere_intersects_rects_block(sub, radius, lows, highs)
-        counters.dist_calcs += int(hit.sum())
-        raw = metric.raw_pairwise_stable(sub, centers)
-        ok = hit & (raw <= limit_raw)
-        for i in range(sub.shape[0]):
-            mcs[start + i].reach_ids = np.flatnonzero(ok[i]).astype(np.int64)
+    # the relative widening absorbs rounding in the predicate's arithmetic,
+    # the absolute one rounding that grows with the coordinates' magnitude
+    # (it also keeps every cell coordinate within ±2**40)
+    scale = float(np.abs(centers).max())
+    width = (radius + eps) * (1.0 + 2.0**-20) + 2.0**-40 * scale
+    cells, cell_of = np.unique(
+        np.floor(centers / width).astype(np.int64), axis=0, return_inverse=True
+    )
+    cell_of = cell_of.reshape(-1)
+    by_cell = np.argsort(cell_of, kind="stable")  # ids grouped by cell
+    start = np.zeros(cells.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_of, minlength=cells.shape[0]), out=start[1:])
+    indptr, nbrs = neighbor_cells(cells)
+    # candidates of cell c: the members of its neighbour cells, flattened
+    seg = start[nbrs + 1] - start[nbrs]
+    seg_end = np.cumsum(seg)
+    cand = by_cell[np.arange(seg_end[-1]) + np.repeat(start[nbrs] - seg_end + seg, seg)]
+    cand_start = np.r_[0, seg_end][indptr]
+
+    n_hit = 0
+    src: list[np.ndarray] = []
+    dst: list[np.ndarray] = []
+    for c in range(cells.shape[0]):
+        rows = by_cell[start[c] : start[c + 1]]
+        ids = cand[cand_start[c] : cand_start[c + 1]]
+        c_lows, c_highs, c_centers = lows[ids], highs[ids], centers[ids]
+        step = max(1, _JOIN_TEMP_ELEMS // (ids.shape[0] * d))
+        for s in range(0, rows.shape[0], step):
+            sub_rows = rows[s : s + step]
+            sub = centers[sub_rows]
+            hit = sphere_intersects_rects_block(sub, radius, c_lows, c_highs)
+            ok = hit & (metric.raw_pairwise_stable(sub, c_centers) <= limit_raw)
+            n_hit += int(np.count_nonzero(hit))
+            i, j = np.nonzero(ok)
+            src.append(sub_rows[i])
+            dst.append(ids[j])
+    counters.dist_calcs += n_hit
+    src_all = np.concatenate(src)
+    dst_all = np.concatenate(dst)
+    order = np.lexsort((dst_all, src_all))
+    reach = dst_all[order].astype(np.int64)
+    bounds = np.searchsorted(src_all[order], np.arange(m + 1)).tolist()
+    for mc, lo, hi in zip(mcs, bounds[:-1], bounds[1:]):
+        mc.reach_ids = reach[lo:hi]

@@ -53,6 +53,7 @@ from repro._compat import deprecated_alias, deprecated_method
 from repro.core.extras import ExtraKeys
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
+from repro.geometry.distance import require_finite
 from repro.geometry.metrics import Metric, get_metric
 from repro.index.bulk import str_bulk_load
 from repro.index.rtree import RTree
@@ -472,6 +473,7 @@ class StreamingMuDBSCAN:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2:
             raise ValueError(f"batch must be 2-D, got shape {np.asarray(X).shape}")
+        require_finite(pts, "batch")
         if self.dim is None:
             if pts.shape[1] < 1:
                 raise ValueError("cannot infer dim from an empty-width batch")

@@ -87,6 +87,38 @@ class TestFacade:
         assert extras_mod.N_MICRO_CLUSTERS == ExtraKeys.N_MICRO_CLUSTERS
 
 
+class TestNonFiniteInput:
+    """NaN and ±inf rows are rejected up front, naming the row, by every
+    fit entry point."""
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "entry", ["fit", "fit-sampled", "fit_distributed", "stream"]
+    )
+    def test_rejected_with_row(self, small_blobs, entry, bad):
+        X = small_blobs.copy()
+        X[7, 1] = bad
+        calls = {
+            "fit": lambda: fit(X, eps=0.08, min_pts=6),
+            "fit-sampled": lambda: fit(X, eps=0.08, min_pts=6, engine="sampled"),
+            "fit_distributed": lambda: fit_distributed(X, 0.08, 6, n_ranks=2),
+            "stream": lambda: repro.stream(eps=0.08, min_pts=6).partial_fit(X),
+        }
+        with pytest.raises(ValueError, match=r"must be finite: row 7 holds"):
+            calls[entry]()
+
+    def test_stream_keeps_working_after_a_rejected_batch(self, small_blobs):
+        stream = repro.stream(eps=0.08, min_pts=6)
+        bad = small_blobs[:10].copy()
+        bad[3, 0] = np.nan
+        with pytest.raises(ValueError, match="row 3"):
+            stream.partial_fit(bad)
+        stream.partial_fit(small_blobs)
+        assert stream.labels_.shape == (small_blobs.shape[0],)
+
+
 class TestDeprecatedAliases:
     def test_minpts_alias_warns_once_and_works(self, small_blobs):
         with warnings.catch_warnings(record=True) as caught:

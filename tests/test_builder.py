@@ -1,5 +1,7 @@
 """Unit tests for micro-cluster construction (Algorithm 3)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +12,7 @@ from repro.geometry.distance import sq_dists_to_point
 from repro.geometry.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import build_micro_clusters
+from repro.microcluster.reachability import compute_reachable, compute_reachable_batched
 
 
 class TestBuildMicroClusters:
@@ -118,6 +121,15 @@ def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, b
     # same MC boxes in the first-level tree (node layout may differ:
     # dynamic Guttman inserts vs one STR pack)
     assert sorted(scan_tree.iter_payloads()) == sorted(grid_tree.iter_payloads())
+    # Algorithm 5: the grid join reproduces the level-1 tree probe
+    c_tree, c_join = Counters(), Counters()
+    compute_reachable(scan_mcs, scan_tree, eps, c_tree, metric=metric)
+    compute_reachable_batched(grid_mcs, eps, c_join, metric=metric)
+    for a, b in zip(scan_mcs, grid_mcs):
+        assert b.reach_ids.dtype == np.int64
+        assert np.all(np.diff(b.reach_ids) > 0)
+        assert np.array_equal(a.reach_ids, b.reach_ids)
+    assert c_tree.dist_calcs == c_join.dist_calcs
     return grid_mcs
 
 
@@ -169,6 +181,41 @@ class TestGridBuilderParity:
         pts = rng.integers(0, 12, size=(n, dim)).astype(np.float64) * (eps / 4.0)
         for metric in (EUCLIDEAN, MANHATTAN, CHEBYSHEV):
             _assert_builders_identical(pts, eps, metric=metric, block_size=16)
+
+
+class TestReachabilityParity:
+    """Edge cases of the grid join behind Algorithm 5 (the registry and
+    lattice cases above already run it through the parity helper)."""
+
+    def test_zero_and_one_micro_cluster(self):
+        assert _assert_builders_identical(np.empty((0, 2)), 1.0) == []
+        (mc,) = _assert_builders_identical(np.array([[0.5, -0.5]]), 1.0)
+        assert mc.reach_ids.tolist() == [0]
+
+    def test_every_center_in_one_cell(self):
+        # cells are wider than 4ε and the points span 3.5ε from the origin
+        rng = np.random.default_rng(21)
+        pts = rng.random((300, 2)) * 3.5
+        mcs = _assert_builders_identical(pts, 1.0)
+        assert len(mcs) > 5
+
+    def test_negative_coordinates_with_large_offset(self):
+        rng = np.random.default_rng(22)
+        pts = rng.random((400, 3)) * 6.0 - 1e9
+        for metric in (EUCLIDEAN, MANHATTAN, CHEBYSHEV):
+            _assert_builders_identical(pts, 0.3, metric=metric)
+
+    def test_sparse_8d_cell_keys_beyond_int64(self):
+        # tight groups scattered over 1e7 per axis: a key linearised over
+        # the occupied cell ranges would need far more than 63 bits
+        rng = np.random.default_rng(23)
+        groups = rng.random((40, 8)) * 1e7
+        pts = (groups[:, None, :] + rng.random((40, 8, 8)) * 3.0).reshape(-1, 8)
+        cells = np.floor(pts / 4.0).astype(np.int64)
+        span = cells.max(axis=0) - cells.min(axis=0) + 1
+        assert math.prod(int(x) for x in span) > 2**63
+        mcs = _assert_builders_identical(pts, 1.0)
+        assert max(len(mc.reach_ids) for mc in mcs) > 1
 
 
 class TestIntraBlockFixup:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import neighbors_within
-from repro.index.grid import UniformGrid
+from repro.index.grid import UniformGrid, neighbor_cells
 
 
 class TestUniformGrid:
@@ -88,3 +88,48 @@ class TestUniformGrid:
             grid.candidates_near(np.zeros(2), 0.0)
         with pytest.raises(ValueError, match="reach"):
             grid.neighbor_cell_keys((0, 0), -1)
+
+
+def _pairs(indptr, nbrs):
+    src = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    return set(zip(src.tolist(), nbrs.tolist()))
+
+
+def _brute_pairs(cells):
+    near = (np.abs(cells[:, None, :] - cells[None, :, :]) <= 1).all(axis=2)
+    return set(zip(*(idx.tolist() for idx in np.nonzero(near))))
+
+
+class TestNeighborCells:
+    """The vectorised all-cells lookup behind the reachability join."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_matches_neighbor_cell_keys(self, rng, dim):
+        # low d takes the stencil path, 8-d the occupied-set compare
+        grid = UniformGrid(rng.random((150, dim)), cell_width=0.15)
+        keys = list(grid.cells())
+        index = {key: i for i, key in enumerate(keys)}
+        indptr, nbrs = neighbor_cells(np.asarray(keys, dtype=np.int64))
+        for i, key in enumerate(keys):
+            got = nbrs[indptr[i] : indptr[i + 1]].tolist()
+            assert got == sorted(got)
+            assert got == sorted(index[k] for k in grid.neighbor_cell_keys(key, 1))
+
+    @pytest.mark.parametrize("dim, n_cells", [(5, 1200), (8, 300)])
+    def test_coordinates_beyond_int64_keys(self, dim, n_cells):
+        # clustered cells spread over ±2**40 per axis: no linearised key
+        # fits in int64; 5-d takes the stencil path (243 <= 1200 cells),
+        # 8-d the compare (6561 > 300)
+        rng = np.random.default_rng(dim)
+        base = rng.integers(-(2**40), 2**40, size=(n_cells // 6, dim))
+        base = np.repeat(base, 6, axis=0)
+        cells = np.unique(base + rng.integers(0, 3, size=base.shape), axis=0)
+        got = _pairs(*neighbor_cells(cells))
+        assert got == _brute_pairs(cells)
+        assert len(got) > cells.shape[0]  # not only the self pairs
+
+    def test_empty_and_invalid(self):
+        indptr, nbrs = neighbor_cells(np.empty((0, 3), dtype=np.int64))
+        assert indptr.tolist() == [0] and nbrs.size == 0
+        with pytest.raises(ValueError, match=r"\(k, d\)"):
+            neighbor_cells(np.zeros(3, dtype=np.int64))
