@@ -2,10 +2,11 @@
 
 Paper rows: 3DSRN, DGB0.5M3D, MPAGB6M3D, KDDB145K14D over four phases
 (tree construction / finding reachable groups / clustering / post
-core & noise processing).  Shape target: post-processing dominates on
-the high-query-save datasets (3DSRN, KDDB — the paper reports 63% and
-97%), and tree construction is a substantial share on the
-many-micro-cluster datasets.
+core & noise processing).  The paper's shape: post-processing dominates
+on the high-query-save datasets (3DSRN, KDDB — 63% and 97%), and tree
+construction is a substantial share on the many-micro-cluster datasets.
+Here only the ordering of post-processing shares across datasets
+reproduces (EXPERIMENTS.md, Table III).
 """
 
 from __future__ import annotations

@@ -10,14 +10,20 @@ every core-core ε-edge is merged — maximality for cores.  The pass is
 distance computations only (cheaper than a neighborhood query, as the
 paper stresses).
 
-Implementation note: the paper skips a distance computation when the
-two cores are already in the same cluster.  Per-pair ``find`` calls are
-the wrong trade-off in Python, so the cached-μR-tree path batches
-instead: all wndq-cores of one MC share a candidate block, the block's
-(wndq × core-candidate) distance matrix is computed in one vectorized
-pass, and the induced bipartite ε-graph is collapsed with a single
-``connected_components`` call — the union-find then needs at most one
-merge per node rather than one per ε-edge.
+Implementation note: like the paper, the pass skips a pair whose two
+cores are already in one cluster — but from one vectorized
+``uf.roots()`` snapshot taken when the phase starts, not a ``find``
+per pair.  That is exact: unions only ever merge components, so two
+points with the same start root stay connected for the whole phase and
+their pair cannot change the partition, and their ``assigned`` flags
+were set by the union that joined them.  Only the pairs that are
+computed are charged to ``dist_calcs``.  The cached-μR-tree path
+batches the rest: the wndq-cores of one MC share a candidate block,
+each start component of the block's rows gets one vectorized distance
+matrix against the core candidates outside it, and the induced
+bipartite ε-graph is collapsed with a single ``connected_components``
+call — the union-find then needs at most one merge per node rather
+than one per ε-edge.
 
 **POST-PROCESSING-NOISE** (Alg. 8): a provisional-noise point ``p``
 stored its ε-neighborhood; if any of those neighbors is core *now*,
@@ -39,8 +45,17 @@ from repro.core.state import MuDBSCANState
 __all__ = ["postprocess_core", "postprocess_noise"]
 
 
-def _postprocess_core_batched(state: MuDBSCANState) -> None:
+def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
     """Cached-mode Algorithm 7: per-MC blocks + component collapse.
+
+    ``roots`` is the union-find snapshot taken when the phase starts.
+    The block's wndq-core rows are grouped by start root, and each group
+    is compared only with the candidates outside its start component.
+    Sequential blocks usually have one group, though a row of a small MC
+    promoted by Algorithm 6 step (iii) joins the querying core's
+    component.  In μDBSCAN-D a halo row stays a local singleton, and so
+    can an owned row whose MC center is a halo point (its Algorithm 4
+    union became a cross pair).
 
     Two candidate classes per MC block:
 
@@ -51,11 +66,11 @@ def _postprocess_core_batched(state: MuDBSCANState) -> None:
       distributed state has any) — halo points whose core status lives
       at a remote rank.  They must not glue local components, so they
       never enter the graph; instead each ε-adjacent (block, candidate)
-      relation is forwarded once through ``state.union`` (which the
-      distributed state turns into a cross pair, judged at the global
-      merge under the real flags).  One emission per block suffices:
-      all wndq-cores of an MC are already in one local component via
-      their center (Algorithm 4).
+      relation is forwarded once, from the first adjacent block row,
+      through ``state.union`` (which the distributed state turns into a
+      cross pair, judged at the global merge under the real flags).
+      An unknown candidate is a halo singleton, so no start root hides
+      it from any row.
     """
     eps_raw = state.eps_raw
     metric = state.murtree.metric
@@ -73,10 +88,23 @@ def _postprocess_core_batched(state: MuDBSCANState) -> None:
 
         core_cand = candidates[state.core[candidates]]
         if core_cand.size:
-            counters.dist_calcs += int(rows.size) * int(core_cand.size)
-            raw = metric.raw_pairwise(points[rows], points[core_cand])
-            ii, jj = np.nonzero(raw < eps_raw)
-            if ii.size:
+            row_roots = roots[rows]
+            cand_roots = roots[core_cand]
+            ii_parts, jj_parts = [], []
+            for root in np.unique(row_roots):
+                sel = np.flatnonzero(row_roots == root)
+                cols = np.flatnonzero(cand_roots != root)
+                if not cols.size:
+                    continue
+                counters.dist_calcs += int(sel.size) * int(cols.size)
+                raw = metric.raw_pairwise(points[rows[sel]], points[core_cand[cols]])
+                i, j = np.nonzero(raw < eps_raw)
+                if i.size:
+                    ii_parts.append(sel[i])
+                    jj_parts.append(cols[j])
+            if ii_parts:
+                ii = np.concatenate(ii_parts)
+                jj = np.concatenate(jj_parts)
                 k = int(rows.size)
                 nodes = np.concatenate([rows, core_cand])
                 graph = sparse.coo_matrix(
@@ -109,11 +137,16 @@ def _postprocess_core_batched(state: MuDBSCANState) -> None:
 
 
 def postprocess_core(state: MuDBSCANState) -> None:
-    """Run Algorithm 7 over the wndq-core list."""
+    """Run Algorithm 7 over the wndq-core list.
+
+    Pairs whose endpoints share a union-find root when the phase starts
+    are skipped (see the module docstring), in every ``aux_index`` mode.
+    """
     if not state.wndq_corelist:
         return
+    roots = state.uf.roots()
     if state.murtree.aux_index == "cached":
-        _postprocess_core_batched(state)
+        _postprocess_core_batched(state, roots)
         return
     eps_raw = state.eps_raw
     metric = state.murtree.metric
@@ -123,15 +156,15 @@ def postprocess_core(state: MuDBSCANState) -> None:
         candidates = state.murtree.candidates_for_postprocessing(row)
         if candidates.size == 0:
             continue
-        core_candidates = candidates[state.postprocess_candidate_mask(candidates)]
+        keep = state.postprocess_candidate_mask(candidates)
+        keep &= roots[candidates] != roots[row]
+        core_candidates = candidates[keep]
         if core_candidates.size == 0:
             continue
         counters.dist_calcs += int(core_candidates.size)
         raw = metric.raw_to_point(points[core_candidates], points[row])
         for q in core_candidates[raw < eps_raw]:
-            qi = int(q)
-            if qi != row:
-                state.union(row, qi)
+            state.union(row, int(q))
 
 
 def postprocess_noise(state: MuDBSCANState, *, batch_queries: bool = True) -> None:

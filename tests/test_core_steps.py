@@ -8,15 +8,70 @@ from repro.core.postprocess import postprocess_core, postprocess_noise
 from repro.core.process_mcs import process_micro_clusters
 from repro.core.remaining import process_remaining_points
 from repro.core.state import MuDBSCANState
+from repro.data.registry import dataset_names, load_dataset
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MCKind
 from repro.microcluster.murtree import MuRTree
+from repro.unionfind.unionfind import UnionFind
 
 
-def _make_state(points: np.ndarray, eps: float, min_pts: int) -> MuDBSCANState:
-    tree = MuRTree(points, eps)
+def _make_state(
+    points: np.ndarray, eps: float, min_pts: int, **tree_kwargs
+) -> MuDBSCANState:
+    tree = MuRTree(points, eps, **tree_kwargs)
     tree.compute_reachability()
     return MuDBSCANState(tree, DBSCANParams(eps=eps, min_pts=min_pts), Counters())
+
+
+def _reference_postprocess_core(state: MuDBSCANState) -> tuple[UnionFind, np.ndarray]:
+    """Algorithm 7 with no skip: union every ε-close (wndq row, core
+    candidate) pair into a copy of the state's partition.
+
+    Returns the resulting union-find and ``assigned`` flags; ``state``
+    is left as it was.  Distances use the same kernel as the mode under
+    test (one block per MC in ``cached`` mode, one row at a time
+    otherwise), so pairs on the ε boundary get the same verdict.
+    """
+    tree = state.murtree
+    uf = UnionFind(state.n)
+    for row, root in enumerate(state.uf.roots().tolist()):
+        uf.union(row, root)
+    assigned = state.assigned.copy()
+    pairs = []
+    if tree.aux_index == "cached":
+        by_mc: dict[int, list[int]] = {}
+        for row in state.wndq_corelist:
+            by_mc.setdefault(int(tree.point_mc[row]), []).append(row)
+        for mc_id, rows in by_mc.items():
+            cands = tree.mcs[mc_id].reach_rows
+            cands = cands[state.core[cands]]
+            raw = tree.metric.raw_pairwise(tree.points[rows], tree.points[cands])
+            ii, jj = np.nonzero(raw < state.eps_raw)
+            pairs += zip(np.asarray(rows)[ii].tolist(), cands[jj].tolist())
+    else:
+        for row in state.wndq_corelist:
+            cands = tree.candidates_for_postprocessing(row)
+            cands = cands[state.core[cands]]
+            raw = tree.metric.raw_to_point(tree.points[cands], tree.points[row])
+            pairs += ((row, q) for q in cands[raw < state.eps_raw].tolist())
+    for row, q in pairs:
+        if row != q:
+            uf.union(row, q)
+            assigned[[row, q]] = True
+    return uf, assigned
+
+
+def _cross_component_pairs(state: MuDBSCANState) -> int:
+    """(wndq row, core candidate) pairs of the cached blocks whose start
+    roots differ — the pairs Algorithm 7 has to compute."""
+    tree = state.murtree
+    roots = state.uf.roots()
+    total = 0
+    for row in state.wndq_corelist:
+        cands = tree.mcs[int(tree.point_mc[row])].reach_rows
+        cands = cands[state.core[cands]]
+        total += int(np.count_nonzero(roots[cands] != roots[row]))
+    return total
 
 
 class TestProcessMicroClusters:
@@ -124,6 +179,85 @@ class TestPostprocessCore:
         postprocess_core(state)
         if state.wndq_corelist:
             assert state.counters.dist_calcs >= before
+
+    def test_no_distance_work_when_cores_already_connected(self):
+        # a dense strip: Algorithm 4 joins each MC's members to its
+        # center and Algorithm 6's queried ring points join neighbouring
+        # MCs, so every core is in one component before Algorithm 7
+        # starts — it has no pair left to compute
+        rng = np.random.default_rng(21)
+        pts = np.column_stack([rng.uniform(0, 1, 400), rng.uniform(0, 0.05, 400)])
+        state = _make_state(pts, eps=0.1, min_pts=5)
+        process_micro_clusters(state)
+        process_remaining_points(state)
+        assert len(state.murtree.mcs) > 1 and state.wndq_corelist
+        assert np.unique(state.uf.roots()[state.core]).size == 1
+        dist_before, unions_before = state.counters.dist_calcs, state.counters.unions
+        postprocess_core(state)
+        assert state.counters.dist_calcs == dist_before
+        assert state.counters.unions == unions_before
+
+    @pytest.mark.parametrize("aux_index", ["cached", "flat"])
+    def test_block_rows_in_two_components_still_join(self, aux_index):
+        # one MC around row 0; its wndq rows start in two components
+        # {1, 2} and {3, 4}, and only the pair (2, 3) is closer than eps
+        xs = [0.0, -0.9, -0.5, 0.45, 0.9]
+        pts = np.array([[x, 0.0] for x in xs])
+        state = _make_state(pts, eps=1.0, min_pts=2, aux_index=aux_index)
+        assert len(state.murtree.mcs) == 1
+        for row in (1, 2, 3, 4):
+            state.mark_wndq_core(row)
+        state.union(1, 2)
+        state.union(3, 4)
+        unions_before = state.counters.unions
+        postprocess_core(state)
+        assert state.uf.connected(1, 4)
+        assert state.counters.unions == unions_before + 1
+        # each row against the two cores of the other component
+        assert state.counters.dist_calcs == 4 * 2
+
+    @pytest.mark.parametrize(
+        "name,metric,aux_index",
+        [
+            (name, metric, aux)
+            for name in dataset_names()
+            for aux in ("cached", "flat")
+            for metric in ("euclidean", "manhattan", "chebyshev")
+        ]
+        + [(name, "euclidean", "rtree") for name in dataset_names()],
+    )
+    def test_matches_all_pairs_reference(self, name, metric, aux_index):
+        pts, spec = load_dataset(name, scale=0.06, seed=3)
+        state = _make_state(
+            pts, spec.eps, spec.min_pts, aux_index=aux_index, metric=metric
+        )
+        process_micro_clusters(state)
+        process_remaining_points(state)
+        self._assert_matches_reference(state)
+
+    @pytest.mark.parametrize("aux_index", ["cached", "flat"])
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_matches_all_pairs_reference_right_after_algorithm_4(self, name, aux_index):
+        # without Algorithm 6 the wndq-cores of different MCs are still
+        # apart, so on half of these sets the phase has merges to make
+        pts, spec = load_dataset(name, scale=0.06, seed=3)
+        state = _make_state(pts, spec.eps, spec.min_pts, aux_index=aux_index)
+        process_micro_clusters(state)
+        self._assert_matches_reference(state)
+
+    @staticmethod
+    def _assert_matches_reference(state: MuDBSCANState) -> None:
+        core_before = state.core.copy()
+        ref_uf, ref_assigned = _reference_postprocess_core(state)
+        cached = state.murtree.aux_index == "cached"
+        expected_calcs = _cross_component_pairs(state) if cached else None
+        dist_before = state.counters.dist_calcs
+        postprocess_core(state)
+        np.testing.assert_array_equal(state.uf.labels(), ref_uf.labels())
+        np.testing.assert_array_equal(state.core, core_before)
+        np.testing.assert_array_equal(state.assigned, ref_assigned)
+        if expected_calcs is not None:
+            assert state.counters.dist_calcs - dist_before == expected_calcs
 
 
 class TestPostprocessNoise:
