@@ -9,7 +9,7 @@ redundant cores.  On top of the μR-tree this becomes:
    engine does (Algorithms 3 + 5 — the shared substrate);
 2. pick a candidate subset: ``selection="uniform"`` samples an
    ``s``-fraction of all rows; ``selection="grid"`` (default) hashes
-   the dataset into ε-cells with the builder's :class:`CenterGrid` and
+   the dataset into ε-cells anchored at its per-axis minimum and
    samples an ``s``-fraction *per occupied cell* (at least one), so
    sparse regions keep coverage instead of losing their only cores;
 3. answer each candidate's ε-query through the MC-batched engine
@@ -46,7 +46,6 @@ from repro.core.extras import ExtraKeys
 from repro.core.params import DBSCANParams
 from repro.engines.base import ClusteringEngine, EngineFitState
 from repro.geometry.metrics import EUCLIDEAN, Metric
-from repro.index.grid import CenterGrid
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
@@ -152,11 +151,15 @@ class SampledCoreEngine(ClusteringEngine):
             k = max(1, int(round(self.sample_fraction * n)))
             mask[rng.choice(n, size=k, replace=False)] = True
             return mask
-        # ε-cell coverage: at least one candidate per occupied cell
-        grid = CenterGrid(points.min(axis=0), eps, points.shape[1])
-        grid.insert(0, points)
-        _, buckets = grid.occupied()
-        for bucket in buckets:
+        # ε-cell coverage: at least one candidate per occupied cell,
+        # cells in order of first appearance, rows ascending in each
+        coords = np.floor((points - points.min(axis=0)) / eps).astype(np.int64)
+        _, first, cell_of = np.unique(
+            coords, axis=0, return_index=True, return_inverse=True
+        )
+        rank = np.argsort(np.argsort(first))[cell_of.reshape(-1)]
+        rows = np.argsort(rank, kind="stable")
+        for bucket in np.split(rows, np.cumsum(np.bincount(rank))[:-1]):
             k = min(
                 bucket.size,
                 max(1, int(np.ceil(self.sample_fraction * bucket.size))),

@@ -112,8 +112,8 @@ def pairwise_sq_dists_stable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is evaluated inside a 1-row or a 10k-row block.  The serving layer
     relies on this to make pruned prediction exactly reproduce the
     brute-force oracle even for queries engineered to sit on the ε
-    boundary, and the grid-hash builder relies on it to replicate the
-    per-point scan's join decisions from batched blocks.
+    boundary, and the reachability grid join relies on it to replicate
+    the tree probe's verdicts from batched blocks.
 
     Peak memory is bounded internally: the ``|a| * |b| * d`` diff
     temporary is computed in row chunks when it would grow past a fixed

@@ -57,10 +57,11 @@ class Metric:
         """Like :meth:`raw_pairwise`, but each entry is guaranteed to be
         a function of the two rows only — independent of block shape.
 
-        Contract (the grid-hash builder's kernel): row ``i`` of the
-        result is bit-identical to ``raw_to_point(b, a[i])``, so a
-        batched sweep reaches exactly the same join/defer verdicts as a
-        per-point scan, even for pairs engineered onto the ε boundary.
+        Contract (the batched kernels' — reachability grid join,
+        serving): row ``i`` of the result is bit-identical to
+        ``raw_to_point(b, a[i])``, so a batched sweep reaches exactly
+        the same verdicts as a per-point loop, even for pairs
+        engineered onto the ε boundary.
         Metrics whose ``raw_pairwise`` is already a per-pair direct form
         (L1, L∞ broadcasting) inherit this default with row chunking to
         bound the broadcast temporary; Euclidean overrides it because

@@ -85,8 +85,8 @@ def sphere_intersects_rects_block(
     *bit-identical* to ``sphere_intersects_rects(points[i], eps, ...)``:
     ``clip`` is pure selection and the squared-distance reduction runs
     over the same contiguous last axis, so batching cannot move a
-    boundary verdict.  The grid-hash builder relies on this to replicate
-    the R-tree's leaf-level candidate test without the tree.
+    boundary verdict.  The reachability grid join relies on this to
+    replicate the R-tree's leaf-level candidate test without the tree.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))

@@ -25,7 +25,7 @@ import numpy as np
 from repro.geometry.distance import sq_dists_to_point
 from repro.instrumentation.counters import Counters
 
-__all__ = ["UniformGrid", "CenterGrid", "neighbor_cells"]
+__all__ = ["UniformGrid", "hash_cells", "neighbor_cells", "neighbor_members"]
 
 #: element budget of one lookup chunk in :func:`neighbor_cells` — bounds
 #: its largest temporary (int64 probes or differences) to 4 MiB
@@ -40,30 +40,61 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
 
 
-def neighbor_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied cells adjacent to every occupied cell (Chebyshev
-    distance ≤ 1, the cell itself included), in any dimension.
+def hash_cells(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hash the ``(n, d)`` ``points`` into cubic cells a little wider
+    than ``reach``; returns the distinct ``(k, d)`` int64 cells and each
+    point's index into them.
 
-    ``cells`` is the ``(k, d)`` int64 stack of *distinct* occupied cell
-    coordinates.  Returns CSR arrays ``(indptr, nbrs)``: the neighbours
-    of cell ``i`` are ``nbrs[indptr[i]:indptr[i + 1]]``, ascending
-    indices into ``cells``.
+    Points whose coordinates differ by at most ``reach`` per axis lie in
+    the same or adjacent cells, even when that was judged through
+    floating-point arithmetic: the relative widening (2**-20) absorbs
+    its rounding, the absolute one (2**-40 of the largest |coordinate|)
+    rounding that grows with magnitude.  The latter also keeps every
+    cell coordinate within ±2**40, so nothing overflows.
+    """
+    scale = float(np.abs(points).max()) if points.size else 0.0
+    width = reach * (1.0 + 2.0**-20) + 2.0**-40 * scale
+    coords = np.floor(points / width).astype(np.int64)
+    order = np.lexsort(coords.T)  # one sort over int columns, not row structs
+    coords = coords[order]
+    head = np.ones(order.shape[0], dtype=bool)
+    head[1:] = (coords[1:] != coords[:-1]).any(axis=1)
+    cell_of = np.empty(order.shape[0], dtype=np.int64)
+    cell_of[order] = np.cumsum(head) - 1
+    return coords[head], cell_of
+
+
+def neighbor_cells(
+    cells: np.ndarray, others: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of ``others`` adjacent to each of ``cells`` (Chebyshev
+    distance ≤ 1, an equal cell included), in any dimension.
+
+    ``cells`` and ``others`` are ``(k, d)`` and ``(k_o, d)`` int64 stacks
+    of *distinct* cell coordinates; ``others`` defaults to ``cells``, the
+    self-join.  Returns CSR arrays ``(indptr, nbrs)``: the neighbours of
+    ``cells[i]`` are ``others[nbrs[indptr[i]:indptr[i + 1]]]``, ascending
+    indices.
 
     :meth:`UniformGrid.neighbor_cell_keys`'s rule, vectorised over all
-    cells at once: when the ``3 ** d`` stencil is smaller than the
-    occupied set, every stencil offset is looked up in the sorted cell
-    keys with ``searchsorted``; otherwise each cell is compared against
-    the whole occupied set.  Both run in chunks of
+    cells at once: when the ``3 ** d`` stencil is no larger than
+    ``others``, every stencil offset is looked up in the sorted keys of
+    ``others`` with ``searchsorted``; otherwise each cell is compared
+    against the whole of ``others``.  Both run in chunks of
     ``_NEIGHBOR_TEMP_ELEMS`` elements.
     """
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     if cells.ndim != 2:
         raise ValueError(f"cells must be (k, d), got shape {cells.shape}")
+    others = cells if others is None else np.ascontiguousarray(others, dtype=np.int64)
+    if others.ndim != 2 or others.shape[1] != cells.shape[1]:
+        raise ValueError(f"others must be (k_o, {cells.shape[1]}), got {others.shape}")
     k, d = cells.shape
+    k_o = others.shape[0]
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
-    if k and 3**d <= k:
-        keys = _row_keys(cells)
+    if k and 3**d <= k_o:
+        keys = _row_keys(others)
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         offsets = np.stack(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"), axis=-1)
@@ -72,21 +103,21 @@ def neighbor_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for s in range(0, offsets.shape[0], step):
             off = offsets[s : s + step]
             probes = _row_keys((cells[:, None, :] + off[None, :, :]).reshape(-1, d))
-            pos = np.minimum(np.searchsorted(sorted_keys, probes), k - 1)
+            pos = np.minimum(np.searchsorted(sorted_keys, probes), k_o - 1)
             found = np.flatnonzero(sorted_keys[pos] == probes)
             src_parts.append(found // off.shape[0])
             dst_parts.append(order[pos[found]])
-    else:
+    elif k and k_o:
         # compare on the first axis, then narrow the surviving pairs one
         # axis at a time: far cells drop out after a few axes
-        axes = np.ascontiguousarray(cells.T)
-        step = max(1, _NEIGHBOR_TEMP_ELEMS // max(1, k))
+        axes, other_axes = np.ascontiguousarray(cells.T), np.ascontiguousarray(others.T)
+        step = max(1, _NEIGHBOR_TEMP_ELEMS // k_o)
         for s in range(0, k, step):
-            diff = axes[0, s : s + step, None] - axes[0, None, :]
+            diff = axes[0, s : s + step, None] - other_axes[0, None, :]
             i, j = np.nonzero(np.abs(diff, out=diff) <= 1)
             i += s
-            for col in axes[1:]:
-                keep = np.abs(col[i] - col[j]) <= 1
+            for col, other_col in zip(axes[1:], other_axes[1:]):
+                keep = np.abs(col[i] - other_col[j]) <= 1
                 i, j = i[keep], j[keep]
             src_parts.append(i)
             dst_parts.append(j)
@@ -94,6 +125,24 @@ def neighbor_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
     order = np.lexsort((dst, src))
     return np.searchsorted(src[order], np.arange(k + 1)), dst[order]
+
+
+def neighbor_members(
+    indptr: np.ndarray,
+    nbrs: np.ndarray,
+    first: np.ndarray,
+    count: np.ndarray,
+    members: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten :func:`neighbor_cells`' CSR into member ids: with the
+    members of cell ``c`` at ``members[first[c]:first[c] + count[c]]``,
+    the members of every neighbour of cell ``i`` are ``flat[start[i]:
+    start[i + 1]]`` in the returned ``(start, flat)``."""
+    seg = count[nbrs]
+    seg_end = np.cumsum(seg)
+    total = int(seg_end[-1]) if seg.size else 0
+    flat = members[np.arange(total) + np.repeat(first[nbrs] - seg_end + seg, seg)]
+    return np.r_[0, seg_end][indptr], flat
 
 
 class UniformGrid:
@@ -213,77 +262,3 @@ class UniformGrid:
 
     def count_ball(self, q: np.ndarray, eps: float) -> int:
         return int(self.query_ball(q, eps).shape[0])
-
-
-class CenterGrid:
-    """Incremental hash-grid over micro-cluster centers.
-
-    The grid-hash builder appends centers as Algorithm 3 creates them
-    and, per block of scan points, gathers every center whose ε-box a
-    search ball could touch — a conservative superset shortlist, exactly
-    like the first-level R-tree's role, but answerable for a whole block
-    with array ops instead of one Python tree walk per point.
-
-    Unlike :class:`UniformGrid` (fixed point set, built once), this
-    structure grows: ``insert()`` buckets new centers by cell, and the
-    occupied-cell views used by the gather are rebuilt lazily only when
-    the cell population changed since the last block.
-    """
-
-    def __init__(self, origin: np.ndarray, cell_width: float, dim: int) -> None:
-        if cell_width <= 0.0:
-            raise ValueError(f"cell_width must be positive, got {cell_width}")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.origin = np.asarray(origin, dtype=np.float64).reshape(dim)
-        self.cell_width = float(cell_width)
-        self.dim = dim
-        self._cells: dict[tuple[int, ...], list[int]] = {}
-        self._n = 0
-        self._occ_coords: np.ndarray | None = None
-        self._occ_buckets: list[np.ndarray] | None = None
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def n_cells(self) -> int:
-        return len(self._cells)
-
-    def coords(self, points: np.ndarray) -> np.ndarray:
-        """Integer cell coordinates of ``points``, ``(k, d)`` int64.
-
-        Centers *are* scan points, so using one formula (and one origin)
-        for both sides keeps the point-cell/center-cell relationship
-        consistent to within the ±1 rounding slack the gather's safety
-        ring absorbs.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.floor((pts - self.origin) / self.cell_width).astype(np.int64)
-
-    def insert(self, first_id: int, centers: np.ndarray) -> None:
-        """Bucket centers ``first_id .. first_id + k - 1`` by cell."""
-        centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-        if centers.shape[0] == 0:
-            return
-        cc = self.coords(centers)
-        for i in range(cc.shape[0]):
-            self._cells.setdefault(tuple(cc[i]), []).append(first_id + i)
-        self._n += centers.shape[0]
-        self._occ_coords = None
-        self._occ_buckets = None
-
-    def occupied(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``(coords, buckets)`` over occupied cells — ``coords`` is the
-        ``(n_cells, d)`` int64 stack and ``buckets[i]`` the center ids in
-        cell ``i`` (ascending: ids are appended in creation order)."""
-        if self._occ_coords is None or self._occ_buckets is None:
-            if self._cells:
-                self._occ_coords = np.asarray(list(self._cells), dtype=np.int64)
-                self._occ_buckets = [
-                    np.asarray(ids, dtype=np.int64) for ids in self._cells.values()
-                ]
-            else:
-                self._occ_coords = np.empty((0, self.dim), dtype=np.int64)
-                self._occ_buckets = []
-        return self._occ_coords, self._occ_buckets

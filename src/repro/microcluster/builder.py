@@ -28,15 +28,15 @@ Two builders implement the same semantics:
   and one small distance block per point, dynamic ``tree.insert`` per
   created MC.
 * ``builder="grid"`` (default) — the batched sweep documented in
-  docs/ALGORITHM.md ("Grid-hash builder"): centers are hashed into an
-  ε-cell :class:`~repro.index.grid.CenterGrid`; scan points are
-  processed in row-order blocks; per block one gather + one vectorized
-  distance/box-predicate pass computes every point's verdict against
-  the centers existing *before* the block, and a short exact fixup walk
-  replays intra-block MC creations in scan order.  The first-level tree
-  is STR bulk-loaded once at the end.  Labels, ``point_mc``, MC
-  membership order and every counter are **bit-identical** to the scan
-  builder — the parity suite in ``tests/test_builder.py`` pins it.
+  docs/ALGORITHM.md ("Grid-hash builder"): points are hashed into cells
+  just wider than a candidate search reaches; per row-order block, a
+  join over adjacent cells lists each point's candidate centers, flat
+  pair chunks replay the tree's leaf test and the scan's distances, and
+  an exact fixup walk replays intra-block MC creations in scan order
+  against the block rows of adjacent cells.  The first-level tree is
+  STR bulk-loaded once.  Labels, ``point_mc``, MC membership order and
+  every counter are **bit-identical** to the scan builder — the parity
+  suite in ``tests/test_builder.py`` pins it.
 """
 
 from __future__ import annotations
@@ -44,23 +44,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
-from repro.geometry.regions import sphere_intersects_rects_block
 from repro.index.bulk import str_bulk_load_point_boxes
-from repro.index.grid import CenterGrid
+from repro.index.grid import hash_cells, neighbor_cells, neighbor_members
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MicroCluster
 
 __all__ = ["build_micro_clusters", "DEFAULT_BUILDER_BLOCK_SIZE"]
 
-#: rows per vectorized sweep block of the grid builder — bounds the
-#: transient (block x candidate-centers) distance matrices
+#: rows per vectorized sweep block of the grid builder
 DEFAULT_BUILDER_BLOCK_SIZE = 4096
 
-#: grid cells per super-cell edge: block points are *grouped* for the
-#: candidate gather at this coarser resolution so each gathered matrix
-#: has enough rows to amortise its Python-level overhead
-_SUPER = 4
+#: (row, center) pairs per chunk of whole rows in the grid builder's
+#: gather — keeps each ``(pairs, d)`` float64 temporary small
+_PAIR_BUDGET = 4096
 
 
 class _CenterArray:
@@ -85,11 +82,6 @@ class _CenterArray:
 
     def take(self, ids: np.ndarray) -> np.ndarray:
         return self._buf[ids]
-
-    def view(self, m: int) -> np.ndarray:
-        """Zero-copy ``(m, d)`` view of the first ``m`` centers — bulk
-        callers slice this instead of re-fancy-indexing full prefixes."""
-        return self._buf[:m]
 
 
 def build_micro_clusters(
@@ -273,124 +265,161 @@ def _build_grid(
     if n == 0:
         return [], tree, point_mc
 
-    centers = _CenterArray(dim)
-    center_rows: list[int] = []
-    members: list[list[int]] = []  # per MC, rows in scan assignment order
     deferred: list[int] = []
-    grid = CenterGrid(pts.min(axis=0), eps, dim)
+    assigned: list[np.ndarray] = []  # rows in scan assignment order
+    # a point's ball of search_radius can only touch a center's ε-box
+    # when |Δ| <= search_radius + eps on every axis, so every candidate
+    # pair of either pass lies in the same or adjacent cells
+    cells, cell_of = hash_cells(pts, search_radius + eps)
+    k = cells.shape[0]
+    stencil = 3**dim <= k
+    if stencil:  # every cell's adjacent cells, once
+        adj_ptr, adj = neighbor_cells(cells)
+        adj_count = np.diff(adj_ptr)
+        # a block's rows by cell: cell c's start at b_first[c], b_count[c]
+        # of them (zero outside the block)
+        b_first, b_count = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    # MC ids by cell, in creation order: cell c's are
+    # slots[slot_lo[c]:slot_lo[c] + fill[c]] (it has room for all its rows)
+    slot_lo = np.r_[0, np.cumsum(np.bincount(cell_of))[:-1]]
+    fill = np.zeros(k, dtype=np.int64)
+    slots = np.empty(n, dtype=np.int64)
+    center_rows = np.empty(n, dtype=np.int64)  # each MC's founder row
+    m = 0  # MCs so far
+    no_id = np.iinfo(np.int64).max
+    origin = np.zeros(dim)
 
-    def block_candidates(
-        block: np.ndarray, bpts: np.ndarray, m_pre: int, radius: float, reach: int
+    def gather(
+        bpts: np.ndarray,
+        b_of: np.ndarray,
+        indptr: np.ndarray,
+        nbrs: np.ndarray,
+        radius: float,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row verdict inputs against the centers existing *before*
-        this block: candidate count, best (lowest) raw distance and the
-        id achieving it (lowest id on exact ties).
-
-        Candidate sets replicate the R-tree probe exactly: the grid
-        gather is a conservative superset (every center whose ε-box a
-        ball of ``radius`` could touch lies within ``reach`` cells, plus
-        one safety ring for floor-rounding slack), and the same
-        leaf-level ball-vs-box predicate then keeps exactly the tree's
-        candidates.
-        """
-        B = block.shape[0]
+        """Per-row candidate count, lowest raw distance and lowest id
+        reaching it, against the centers existing *before* this block:
+        the MCs filed under each block cell's adjacent cells
+        ``nbrs[indptr[c]:indptr[c + 1]]``, a superset of the tree probe's
+        candidates, filtered pair by pair with the tree's leaf test."""
+        B = bpts.shape[0]
         cnt = np.zeros(B, dtype=np.int64)
         best_raw = np.full(B, np.inf)
         best_id = np.full(B, -1, dtype=np.int64)
-        if m_pre == 0:
+        if m == 0:
             return cnt, best_raw, best_id
-        occ, buckets = grid.occupied()
-        pre_centers = centers.view(m_pre)
-        # group block rows by super-cell so each gathered candidate set
-        # is shared by a worthwhile number of matrix rows
-        sc = grid.coords(bpts) >> 2  # arithmetic shift = floor div by _SUPER
-        uniq, inverse = np.unique(sc, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.r_[0, np.cumsum(np.bincount(inverse, minlength=uniq.shape[0]))]
-        # occupied center cells inside each super-cell's search window
-        lo = uniq * _SUPER - reach
-        hi = uniq * _SUPER + (_SUPER - 1) + reach
-        inside = (
-            (occ[None, :, :] >= lo[:, None, :]) & (occ[None, :, :] <= hi[:, None, :])
-        ).all(axis=2)
-        for u in range(uniq.shape[0]):
-            cells = np.flatnonzero(inside[u])
-            if cells.size == 0:
+        start, cand = neighbor_members(indptr, nbrs, slot_lo, fill, slots)
+        # the pairs of row i are cand[start[b_of[i]]:...], laid end to
+        # end and tested in chunks of whole rows, ~_PAIR_BUDGET pairs each
+        per_row = np.diff(start)[b_of]
+        row_end = np.cumsum(per_row)
+        offset = start[b_of] - row_end + per_row
+        cuts = np.arange(_PAIR_BUDGET, row_end[-1], _PAIR_BUDGET)
+        edges = np.unique(np.r_[0, np.searchsorted(row_end, cuts, side="right"), B])
+        r2 = radius * radius
+        for r0, r1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            rows = np.repeat(np.arange(r0, r1), per_row[r0:r1])
+            pair = np.arange(row_end[r0] - per_row[r0], row_end[r1 - 1])
+            ids = cand[pair + offset[rows]]
+            p = np.take(bpts, rows, axis=0)
+            q = np.take(pts, np.take(center_rows, ids), axis=0)
+            # the tree's leaf test: the ball around p against q's ε-box
+            diff = p - np.clip(p, q - eps, q + eps)
+            hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= r2)
+            if hit.size == 0:
                 continue
-            if cells.size == 1:
-                ids = buckets[cells[0]]
-            else:
-                ids = np.sort(np.concatenate([buckets[c] for c in cells]))
-            rows_u = order[bounds[u] : bounds[u + 1]]
-            sub = bpts[rows_u]
-            cand_centers = pre_centers[ids]
-            raw = metric.raw_pairwise_stable(sub, cand_centers)
-            hit = sphere_intersects_rects_block(
-                sub, radius, cand_centers - eps, cand_centers + eps
-            )
-            c_u = hit.sum(axis=1)
-            masked = np.where(hit, raw, np.inf)
-            j = np.argmin(masked, axis=1)  # first minimum = lowest id
-            has = c_u > 0
-            cnt[rows_u] = c_u
-            best_raw[rows_u] = np.where(has, masked[np.arange(rows_u.size), j], np.inf)
-            best_id[rows_u] = np.where(has, ids[j], -1)
+            rows, ids = rows[hit], ids[hit]
+            # the scan's raw_to_point(centers, p) pair by pair: center - p
+            # is formed first, then reduced exactly as there
+            raw = metric.raw_to_point(q[hit] - p[hit], origin)
+            # segment reductions over each row's run of hits
+            head = np.r_[True, rows[1:] != rows[:-1]]
+            first = np.flatnonzero(head)
+            seg = np.cumsum(head) - 1
+            rows = rows[first]
+            cnt[rows] = np.bincount(seg)
+            low = np.minimum.reduceat(raw, first)
+            ties = np.where(raw == low[seg], ids, no_id)
+            best_raw[rows], best_id[rows] = low, np.minimum.reduceat(ties, first)
         return cnt, best_raw, best_id
 
     def sweep(rows: np.ndarray, radius: float, defer: bool) -> None:
         """One Algorithm-3 pass over ``rows`` in order, blockwise."""
-        # every true candidate center is within radius + eps of the
-        # point on each axis; +1 ring absorbs floor-rounding slack
-        reach = int(np.ceil((radius + eps) / grid.cell_width)) + 1
+        nonlocal m
+        placed = two_eps_raw if defer else eps_raw  # join or defer below this
+        r2 = radius * radius
         for start in range(0, rows.shape[0], block_size):
             block = rows[start : start + block_size]
-            bpts = pts[block]
-            m_pre = len(center_rows)
-            cnt, best_raw, best_id = block_candidates(
-                block, bpts, m_pre, radius, reach
-            )
-            # exact scan-order fixup: walk the block in row order; each
-            # created MC is immediately made visible (count, distance,
-            # nearest-center) to every later row of the block, exactly
-            # as a dynamic tree insert would have been
-            for i in range(block.shape[0]):
-                row = int(block[i])
-                c = int(cnt[i])
-                counters.dist_calcs += c
-                if c and best_raw[i] < eps_raw:
-                    mc_id = int(best_id[i])
-                    members[mc_id].append(row)
-                    point_mc[row] = mc_id
-                elif defer and c and best_raw[i] < two_eps_raw:
-                    deferred.append(row)
-                    counters.deferred_points += 1
+            bpts = np.take(pts, block, axis=0)
+            b_cells, b_of = np.unique(cell_of[block], return_inverse=True)
+            if stencil:  # the block cells' rows of the adjacency
+                indptr, nbrs = neighbor_members(
+                    np.arange(b_cells.shape[0] + 1), b_cells, adj_ptr, adj_count, adj
+                )
+            else:  # the stencil outnumbers the cells: join to MC cells only
+                c_cells = np.flatnonzero(fill)
+                indptr, nbrs = neighbor_cells(cells[b_cells], cells[c_cells])
+                nbrs = c_cells[nbrs]
+            cnt, best_raw, best_id = gather(bpts, b_of, indptr, nbrs, radius)
+            # rows that would found an MC; a newborn can only take rows
+            # off this list, so the walk visits just its initial entries
+            found = ~((cnt > 0) & (best_raw < placed))
+            pos = np.arange(block.shape[0])
+            near = None
+            if found.any() and stencil:
+                # block rows of each cell's adjacent cells (else the
+                # stencil outnumbers the cells: test all later rows)
+                per_cell = np.bincount(b_of)
+                b_first[b_cells] = np.cumsum(per_cell) - per_cell
+                b_count[b_cells] = per_cell
+                near_start, near = neighbor_members(
+                    indptr, nbrs, b_first, b_count, np.argsort(b_of, kind="stable")
+                )
+                b_count[b_cells] = 0
+                near_start, cell_list = near_start.tolist(), b_of.tolist()
+            lows, highs = bpts - eps, bpts + eps  # each row's box as a center
+            mc_id = m
+            for i in np.flatnonzero(found).tolist():
+                if not found[i]:
+                    continue
+                # make the newborn visible to later rows exactly as a
+                # dynamic tree insert would: the leaf test, then the
+                # scan's raw distance; strict < keeps the lower id on ties
+                if near is None:
+                    later = slice(i + 1, None)
                 else:
-                    mc_id = len(center_rows)
-                    center_rows.append(row)
-                    members.append([row])
-                    centers.append(pts[row])
-                    point_mc[row] = mc_id
-                    counters.micro_clusters += 1
-                    if i + 1 < block.shape[0]:
-                        rest = bpts[i + 1 :]
-                        # the tree's leaf test against the newborn box...
-                        clamped = np.clip(rest, pts[row] - eps, pts[row] + eps)
-                        diff = rest - clamped
-                        sq = np.einsum("ij,ij->i", diff, diff)
-                        hit = sq <= radius * radius
-                        if hit.any():
-                            cnt[i + 1 :][hit] += 1
-                            # ...and the scan's raw distances; strict <
-                            # keeps the lower (earlier) id on exact ties
-                            raw_new = metric.raw_to_point(rest, pts[row])
-                            sub_raw = best_raw[i + 1 :]
-                            sub_id = best_id[i + 1 :]
-                            better = hit & (raw_new < sub_raw)
-                            sub_raw[better] = raw_new[better]
-                            sub_id[better] = mc_id
-            if len(center_rows) > m_pre:
-                grid.insert(m_pre, centers.view(len(center_rows))[m_pre:])
+                    u = cell_list[i]
+                    later = near[near_start[u] : near_start[u + 1]]
+                    later = later[later > i]
+                rest = bpts[later]
+                diff = rest - np.clip(rest, lows[i], highs[i])
+                hit = np.einsum("ij,ij->i", diff, diff) <= r2
+                idx = pos[later][hit]
+                if idx.size:
+                    cnt[idx] += 1
+                    raw_new = metric.raw_to_point(rest[hit], bpts[i])
+                    better = raw_new < best_raw[idx]
+                    best_raw[idx[better]] = raw_new[better]
+                    best_id[idx[better]] = mc_id
+                    found[idx] = ~(best_raw[idx] < placed)
+                mc_id += 1
+            born = block[found]  # the rows still on the list founded MCs
+            ids = np.arange(m, mc_id)
+            point_mc[born], center_rows[ids] = ids, born
+            # file the newborns after their cells' earlier MCs
+            by = np.argsort(cell_of[born], kind="stable")
+            c = cell_of[born][by]
+            rank = np.arange(c.shape[0]) - np.searchsorted(c, c)  # within cell
+            slots[slot_lo[c] + fill[c] + rank] = ids[by]
+            np.add.at(fill, c, 1)
+            m = mc_id
+            counters.micro_clusters += born.shape[0]
+            counters.dist_calcs += int(cnt.sum())
+            join = ~found & (best_raw < eps_raw)
+            point_mc[block[join]] = best_id[join]
+            wait = ~found & ~join
+            deferred.extend(block[wait].tolist())
+            counters.deferred_points += int(np.count_nonzero(wait))
+            assigned.append(block[~wait])
 
     # ---- pass 1: scan, join / defer / create --------------------------
     sweep(np.arange(n, dtype=np.int64), search_radius, defer_2eps)
@@ -398,18 +427,15 @@ def _build_grid(
     if deferred:
         sweep(np.asarray(deferred, dtype=np.int64), eps * cover, False)
 
-    m = len(center_rows)
-    mcs = [
-        MicroCluster.from_member_rows(
-            mc_id,
-            center_rows[mc_id],
-            np.asarray(members[mc_id], dtype=np.int64),
-            pts,
-            eps,
-            metric=metric,
-        )
-        for mc_id in range(m)
-    ]
+    # members in assignment order: pass-1 rows ascending (the founder
+    # leads), then the deferred rows in deferral order
+    order = np.concatenate(assigned)
+    owner = point_mc[order]
+    by_mc = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[by_mc], np.arange(m + 1))
+    centers = center_rows[:m]
+    mcs = [MicroCluster(i, r, pts[r]) for i, r in enumerate(centers.tolist())]
+    MicroCluster.freeze_batch(mcs, order[by_mc], bounds, pts, eps, metric=metric)
     if m:
-        str_bulk_load_point_boxes(tree, centers.view(m), eps)
+        str_bulk_load_point_boxes(tree, np.take(pts, centers, axis=0), eps)
     return mcs, tree, point_mc

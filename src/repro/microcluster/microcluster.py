@@ -20,7 +20,6 @@ import enum
 
 import numpy as np
 
-from repro.geometry.mbr import mbr_of_points
 from repro.geometry.metrics import EUCLIDEAN, Metric
 
 __all__ = ["MicroCluster", "MCKind"]
@@ -104,44 +103,48 @@ class MicroCluster:
         if self._pending_rows is None:
             raise RuntimeError("MicroCluster already frozen")
         rows = np.asarray(self._pending_rows, dtype=np.int64)
-        self._pending_rows = None
-        self._finalize(rows, points, eps, metric)
+        MicroCluster.freeze_batch([self], rows, [0, rows.shape[0]], points, eps, metric)
 
-    def _finalize(
-        self, rows: np.ndarray, points: np.ndarray, eps: float, metric: Metric
-    ) -> None:
-        self.member_rows = rows
-        self.member_points = np.ascontiguousarray(points[rows], dtype=np.float64)
-        self.mbr_low, self.mbr_high = mbr_of_points(self.member_points)
-        raw = metric.raw_to_point(self.member_points, self.center)
-        self.ic_rows = rows[raw < metric.threshold(eps * 0.5)]
-
-    @classmethod
-    def from_member_rows(
-        cls,
-        mc_id: int,
-        center_row: int,
+    @staticmethod
+    def freeze_batch(
+        mcs: list["MicroCluster"],
         member_rows: np.ndarray,
+        bounds: np.ndarray | list[int],
         points: np.ndarray,
         eps: float,
         metric: Metric = EUCLIDEAN,
-    ) -> "MicroCluster":
-        """Construct a frozen MC whose membership is known up front.
-
-        Batch builders resolve whole assignment arrays before any
-        ``MicroCluster`` exists; this skips the per-row ``add_member``
-        path and freezes in one shot.  ``member_rows`` must lead with
-        ``center_row`` (the center is always its MC's first member) and
-        preserve the scan's assignment order — the frozen structures are
-        then bit-identical to an incrementally-built-and-frozen MC.
+    ) -> None:
+        """Freeze every MC of ``mcs`` in one pass, with the members of
+        ``mcs[i]`` taken from ``member_rows[bounds[i]:bounds[i + 1]]``
+        (led by its center, in assignment order) instead of its pending
+        rows.  Member rows and coordinates become views into one array
+        each; every frozen structure equals a one-by-one :meth:`freeze`.
         """
-        rows = np.asarray(member_rows, dtype=np.int64)
-        if rows.shape[0] == 0 or int(rows[0]) != int(center_row):
-            raise ValueError("member_rows must start with center_row")
-        mc = cls(mc_id, center_row, points[int(center_row)])
-        mc._pending_rows = None
-        mc._finalize(rows, points, eps, metric)
-        return mc
+        bounds = np.asarray(bounds, dtype=np.int64)
+        rows = np.array(member_rows, dtype=np.int64)  # a copy the MCs own
+        starts = bounds[:-1]
+        centers = [mc.center_row for mc in mcs]
+        if bounds[-1] != rows.shape[0] or not np.array_equal(rows[starts], centers):
+            raise ValueError("each MC's member_rows must start with its center_row")
+        if not mcs:
+            return
+        member_points = np.take(np.asarray(points, dtype=np.float64), rows, axis=0)
+        lows = np.minimum.reduceat(member_points, starts, axis=0)
+        highs = np.maximum.reduceat(member_points, starts, axis=0)
+        # raw_to_point(member_points, center) row by row: member - center
+        # is formed first, then reduced exactly as there
+        from_center = member_points - member_points[np.repeat(starts, np.diff(bounds))]
+        raw = metric.raw_to_point(from_center, np.zeros(points.shape[1]))
+        in_ic = raw < metric.threshold(eps * 0.5)
+        ic_rows = rows[in_ic]
+        ic_bounds = np.r_[0, np.cumsum(in_ic)][bounds].tolist()
+        bounds = bounds.tolist()
+        for i, mc in enumerate(mcs):
+            lo, hi = bounds[i], bounds[i + 1]
+            mc._pending_rows = None
+            mc.member_rows, mc.member_points = rows[lo:hi], member_points[lo:hi]
+            mc.mbr_low, mc.mbr_high = lows[i], highs[i]
+            mc.ic_rows = ic_rows[ic_bounds[i] : ic_bounds[i + 1]]
 
     # ------------------------------------------------------------------
     # classification (valid after freeze)

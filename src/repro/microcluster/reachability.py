@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.regions import sphere_intersects_rects_block
-from repro.index.grid import neighbor_cells
+from repro.index.grid import hash_cells, neighbor_cells, neighbor_members
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MicroCluster
@@ -94,24 +94,15 @@ def compute_reachable_batched(
     limit_raw = metric.threshold(3.0 * eps)
     lows = centers - eps
     highs = centers + eps
-    # the relative widening absorbs rounding in the predicate's arithmetic,
-    # the absolute one rounding that grows with the coordinates' magnitude
-    # (it also keeps every cell coordinate within ±2**40)
-    scale = float(np.abs(centers).max())
-    width = (radius + eps) * (1.0 + 2.0**-20) + 2.0**-40 * scale
-    cells, cell_of = np.unique(
-        np.floor(centers / width).astype(np.int64), axis=0, return_inverse=True
-    )
-    cell_of = cell_of.reshape(-1)
+    cells, cell_of = hash_cells(centers, radius + eps)
     by_cell = np.argsort(cell_of, kind="stable")  # ids grouped by cell
+    per_cell = np.bincount(cell_of, minlength=cells.shape[0])
     start = np.zeros(cells.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cell_of, minlength=cells.shape[0]), out=start[1:])
-    indptr, nbrs = neighbor_cells(cells)
+    np.cumsum(per_cell, out=start[1:])
     # candidates of cell c: the members of its neighbour cells, flattened
-    seg = start[nbrs + 1] - start[nbrs]
-    seg_end = np.cumsum(seg)
-    cand = by_cell[np.arange(seg_end[-1]) + np.repeat(start[nbrs] - seg_end + seg, seg)]
-    cand_start = np.r_[0, seg_end][indptr]
+    cand_start, cand = neighbor_members(
+        *neighbor_cells(cells), start[:-1], per_cell, by_cell
+    )
 
     n_hit = 0
     src: list[np.ndarray] = []

@@ -382,19 +382,19 @@ class FittedModel:
     def _rebuild_murtree(self) -> MuRTree:
         eps = self.params.eps
         metric = self.metric
-        mcs: list[MicroCluster] = []
-        for mc_id in range(self.n_micro_clusters):
-            center_row = int(self.center_rows[mc_id])
-            mc = MicroCluster(mc_id, center_row, self.points[center_row])
-            # restore the exact builder-order membership, then freeze to
-            # rematerialise the derived views (coords copy, MBR, inner
-            # circle) — vectorized numpy work, not Algorithm 3
-            mc._pending_rows = [int(r) for r in self.member_rows(mc_id)]
-            mc.freeze(self.points, eps, metric=metric)
-            mc.reach_ids = self.reach_ids(mc_id).copy()
-            mcs.append(mc)
+        mcs = [
+            MicroCluster(mc_id, row, self.points[row])
+            for mc_id, row in enumerate(self.center_rows.tolist())
+        ]
+        # restore the exact builder-order membership and rematerialise
+        # the derived views (coords, MBR, inner circle) — vectorized
+        # numpy work, not Algorithm 3
+        MicroCluster.freeze_batch(
+            mcs, self.member_flat, self.member_offsets, self.points, eps, metric=metric
+        )
         # cached-mode reachable blocks, concatenated from stored lists
         for mc in mcs:
+            mc.reach_ids = self.reach_ids(mc.mc_id).copy()
             rows = [mcs[int(w)].member_rows for w in mc.reach_ids]
             rows = [r for r in rows if r is not None and r.size]
             mc.reach_rows = (

@@ -1,6 +1,8 @@
 """Unit tests for micro-cluster construction (Algorithm 3)."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +220,37 @@ class TestReachabilityParity:
         assert max(len(mc.reach_ids) for mc in mcs) > 1
 
 
+class TestGridBuilderRobustness:
+    """Inputs where a hash of raw coordinates would break the grid path."""
+
+    def test_coordinates_beyond_int64_cells(self):
+        # 2e19 / ε cells overflow int64; at that magnitude the far points
+        # sit on a 4096-spaced float lattice, 64 distinct positions
+        rng = np.random.default_rng(41)
+        near = rng.random((50, 2)) * 5.0
+        far = 2e19 + rng.random((200, 2)) * 32768.0
+        pts = np.concatenate([near, far])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mcs = _assert_builders_identical(pts, 1.0, block_size=16)
+        centers = np.stack([mc.center for mc in mcs])
+        assert np.unique(centers, axis=0).shape[0] == len(mcs) == 86
+
+    def test_sparse_input_peak_memory(self):
+        # the density of 20,000 points in a 100³ cube: nearly every
+        # point founds an MC, so each block holds thousands of newborns
+        pts = np.random.default_rng(5).random((8000, 3)) * 73.7
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mcs, _, _ = build_micro_clusters(pts, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mcs) > 7500
+        assert peak < 24 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 class TestIntraBlockFixup:
     """A block containing a new-MC founder plus later joiners must replay
     the sequential scan exactly (the founder is invisible to the
@@ -252,6 +285,19 @@ class TestIntraBlockFixup:
         build_micro_clusters(pts, eps, counters=counters, builder="grid")
         assert counters.deferred_points == 1
         assert counters.micro_clusters == 3
+
+    @pytest.mark.parametrize("block_size", [1, 3, 4096])
+    def test_joiner_across_cell_corner(self, block_size):
+        # cells are ~3ε wide (search radius 2ε + ε): row 1 lies just past
+        # the (3, 3) corner from newborn row 0, in the diagonal cell; the
+        # far rows occupy enough cells for the 3² stencil to apply
+        eps = 1.0
+        far = [[30.0 * k, -40.0] for k in range(1, 11)]
+        pts = np.array([[2.9, 2.9], [3.1, 3.1], *far])
+        mcs = _assert_builders_identical(pts, eps, block_size=block_size)
+        assert [list(mc.member_rows) for mc in mcs] == [[0, 1]] + [
+            [row] for row in range(2, 12)
+        ]
 
     @pytest.mark.parametrize("block_size", [1, 3, 5, 64])
     def test_dense_chain_all_block_sizes(self, block_size):

@@ -111,6 +111,39 @@ class TestDeterminism:
         assert a.counters.dist_calcs == b.counters.dist_calcs
 
 
+def _dict_cells_mask(points, eps, fraction, seed):
+    """The grid candidate mask from a plain dict of ε-cells: cells in
+    order of first appearance, rows ascending in each, one seeded draw
+    per cell."""
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    cells = np.floor((points - points.min(axis=0)) / eps).astype(np.int64)
+    for row, key in enumerate(map(tuple, cells.tolist())):
+        buckets.setdefault(key, []).append(row)
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(points.shape[0], dtype=bool)
+    for rows in buckets.values():
+        bucket = np.asarray(rows, dtype=np.int64)
+        k = min(bucket.size, max(1, int(np.ceil(fraction * bucket.size))))
+        if k < bucket.size:
+            bucket = rng.choice(bucket, size=k, replace=False)
+        mask[bucket] = True
+    return mask
+
+
+class TestGridSelection:
+    """``selection="grid"`` groups rows by ε-cell with one ``np.unique``
+    call; the seeded draw must see the same buckets in the same order."""
+
+    @pytest.mark.parametrize("name", ["3DSRN", "HHP0.5M5D", "FOF28M14D", "MPAGD8M3D"])
+    @pytest.mark.parametrize("seed, fraction", [(0, 0.4), (3, 0.1)])
+    def test_mask_matches_dict_grouping(self, name, seed, fraction):
+        pts, spec = load_dataset(name, scale=0.2, seed=7)
+        engine = SampledCoreEngine(sample_fraction=fraction, seed=seed)
+        mask = engine._select_candidates(pts, spec.eps)
+        assert 0 < mask.sum() < pts.shape[0]
+        assert np.array_equal(mask, _dict_cells_mask(pts, spec.eps, fraction, seed))
+
+
 class TestQuality:
     """Blobs-level sanity floor; the full gate lives in the registry
     sweep (``perf_smoke --quality`` / BENCH_QUALITY.json)."""

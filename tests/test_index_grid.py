@@ -1,10 +1,12 @@
 """Unit tests for the uniform grid index."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.geometry.distance import neighbors_within
-from repro.index.grid import UniformGrid, neighbor_cells
+from repro.index.grid import UniformGrid, hash_cells, neighbor_cells
 
 
 class TestUniformGrid:
@@ -128,8 +130,59 @@ class TestNeighborCells:
         assert got == _brute_pairs(cells)
         assert len(got) > cells.shape[0]  # not only the self pairs
 
+    @pytest.mark.parametrize(
+        "dim, spread",
+        [(2, 8), (3, 4), (8, 2), (5, 2**40)],
+        ids=["2d-stencil", "3d", "8d-compare", "5d-wide-keys"],
+    )
+    def test_cross_join_matches_brute_force(self, dim, spread):
+        # two cell sets jittered around shared bases; the 3-D case runs
+        # once with others large enough for the stencil, once too small
+        rng = np.random.default_rng(dim)
+        base = rng.integers(-spread, spread, size=(40, dim))
+
+        def draw(k):
+            jitter = rng.integers(0, 3, size=(k, dim))
+            return np.unique(base[rng.integers(0, 40, k)] + jitter, axis=0)
+
+        for k_o in (400, 20):
+            cells, others = draw(300), draw(k_o)
+            indptr, nbrs = neighbor_cells(cells, others)
+            assert indptr.shape == (cells.shape[0] + 1,)
+            got = _pairs(indptr, nbrs)
+            near = (np.abs(cells[:, None, :] - others[None, :, :]) <= 1).all(axis=2)
+            assert got == set(zip(*(idx.tolist() for idx in np.nonzero(near))))
+            assert got
+
     def test_empty_and_invalid(self):
         indptr, nbrs = neighbor_cells(np.empty((0, 3), dtype=np.int64))
         assert indptr.tolist() == [0] and nbrs.size == 0
         with pytest.raises(ValueError, match=r"\(k, d\)"):
             neighbor_cells(np.zeros(3, dtype=np.int64))
+        indptr, nbrs = neighbor_cells(np.zeros((2, 3)), np.empty((0, 3)))
+        assert indptr.tolist() == [0, 0, 0] and nbrs.size == 0
+        with pytest.raises(ValueError, match="others"):
+            neighbor_cells(np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+class TestHashCells:
+    """Cells for the grid joins: close points land in touching cells."""
+
+    @pytest.mark.parametrize("offset", [0.0, -1e9])
+    def test_points_within_reach_share_or_touch_cells(self, offset):
+        rng = np.random.default_rng(4)
+        reach = 1.5
+        a = rng.random((500, 3)) * 50.0 + offset
+        # per-axis differences up to reach, including exactly reach
+        b = a + rng.choice([-reach, reach, 0.3], size=a.shape)
+        cells, cell_of = hash_cells(np.concatenate([a, b]), reach)
+        assert np.unique(cells, axis=0).shape == cells.shape
+        assert (np.abs(cells[cell_of[:500]] - cells[cell_of[500:]]) <= 1).all()
+
+    def test_far_coordinates_stay_within_2_to_40(self):
+        pts = np.array([[2e19, -3e18], [0.0, 1.0], [2e19 + 4096.0, -3e18]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells, cell_of = hash_cells(pts, 3.0)
+        assert np.abs(cells).max() <= 2**40
+        assert cell_of[0] == cell_of[2] != cell_of[1]
