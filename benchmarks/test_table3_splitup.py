@@ -5,8 +5,9 @@ Paper rows: 3DSRN, DGB0.5M3D, MPAGB6M3D, KDDB145K14D over four phases
 core & noise processing).  The paper's shape: post-processing dominates
 on the high-query-save datasets (3DSRN, KDDB — 63% and 97%), and tree
 construction is a substantial share on the many-micro-cluster datasets.
-Here only the ordering of post-processing shares across datasets
-reproduces (EXPERIMENTS.md, Table III).
+Here only the grouping of post-processing shares across datasets
+reproduces — 3DSRN and KDDB high, MPAGB and DGB low (EXPERIMENTS.md,
+Table III).
 """
 
 from __future__ import annotations

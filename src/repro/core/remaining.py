@@ -25,31 +25,46 @@ precondition cannot hold for it.
 Batched execution (``batch_queries=True``, the default in ``cached``
 mode)
 ----------------------------------------------------------------------
-Every member of a micro-cluster shares the MC's cached reachable block
-(Lemma 3), so issuing one Python-level :meth:`MuRTree.query_ball` per
-point re-gathers the same candidates ``|MC|`` times.  The batched path
-splits *computing* neighborhoods from *consuming* verdicts:
+Every member of a micro-cluster shares the MC's reach block (Lemma 3),
+so issuing one Python-level :meth:`MuRTree.query_ball` per point
+re-gathers the same candidates ``|MC|`` times.  The batched path splits
+*computing* neighborhoods from *consuming* verdicts, and computes them
+with one of two kernels chosen per MC from the size of its reach block
+(``MuRTree.reach_offsets``):
 
-1. group the still-pending rows by MC (``point_mc``);
-2. walk the pending rows in the **original global row order**; when a
-   row's answer is not yet available, answer the next batch of its
-   MC's still-live rows with one :meth:`MuRTree.query_ball_block` call
-   (lazy sub-blocks growing geometrically — see ``_process_batched``);
-   then apply exactly the per-point verdict logic above on the
-   precomputed neighbor lists.
+* **dense sub-blocks** — rows of a block of at least
+  ``DENSE_MIN_CANDIDATES`` candidates are answered per MC by
+  :meth:`MuRTree.query_ball_block`, a few of the MC's still-live rows
+  at a time (lazy sub-blocks growing geometrically — see
+  ``_process_batched``), one distance matrix each;
+* **flat waves** — any other row that needs an answer starts a wave
+  over the next still-live small-block rows in global order, up to
+  ``_WAVE_PAIRS`` (row, candidate) pairs gathered through the reach
+  CSR and scored in one pass (``_flat_wave``).  Small blocks are most
+  MCs of sparse data, where one call per sub-block made the fixed cost
+  of a call the whole phase.
 
-Because the consumption order, the union order and every flag update
-are identical to the per-point path, the batched path is
-*state-for-state* equivalent: same cores, same labels, same
-``noiseList``.  Two details make the counters match too:
+The pending rows are walked in the **original global row order**; when
+a row's answer is not yet available its kernel computes it (with the
+answers of the rows after it), then exactly the per-point verdict logic
+above runs on the precomputed neighbor list.  Neighbor lists keep the
+reach block's order, which is the order :meth:`MuRTree.query_ball`
+returns, and merge lists go through ``MuDBSCANState.union_many``.
+
+Because the consumption order and every flag update are identical to
+the per-point path, the batched path is *state-for-state* equivalent:
+same cores, same partition and labels, same ``noiseList``, same union
+sequence wherever the state needs one (μDBSCAN-D's cross pairs).  A
+flat wave scores each pair with the direct form ``query_ball`` uses, so
+its verdicts are bit-identical to the per-point path's.  Two details
+make the counters match too:
 
 * a row that the dynamic rule promotes mid-run is still skipped at its
   turn (its precomputed answer is simply discarded), so
   ``queries_run`` counts exactly the queries the per-point path runs;
-* the block query is issued with ``count_work=False`` and its
-  ``per_row_cost`` is charged to ``dist_calcs`` lazily, once per row
-  actually consumed — discarded answers cost nothing, exactly like a
-  query that was never issued.
+* neither kernel charges work itself: each consumed row adds its reach
+  block's size to ``dist_calcs`` — discarded answers cost nothing,
+  exactly like a query that was never issued.
 
 The verdicts themselves are order-independent (core status is a
 property of the geometry), which is why precomputing them is sound;
@@ -64,7 +79,13 @@ import time
 import numpy as np
 
 from repro.core.state import MuDBSCANState
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, BlockQueryResult
+from repro.index.grid import concat_ranges
+from repro.microcluster.murtree import (
+    DEFAULT_BLOCK_SIZE,
+    DENSE_MIN_CANDIDATES,
+    BlockQueryResult,
+    MuRTree,
+)
 from repro.observability.tracing import current_tracer
 
 __all__ = ["process_remaining_points"]
@@ -75,6 +96,12 @@ __all__ = ["process_remaining_points"]
 #: ``_process_batched``)
 _FIRST_SUB_BLOCK = 8
 _SUB_BLOCK_GROWTH = 4
+
+#: (row, candidate) pairs per flat wave.  Budgets of 2^12 to 2^18 took
+#: equal time on both inputs (within the runs' spread), while the phase's
+#: tracemalloc peak on ``halos`` grew 5.4 / 6.1 / 9.3 / 17.8 MiB for
+#: 2^12 / 2^14 / 2^16 / 2^18.
+_WAVE_PAIRS = 1 << 14
 
 #: detailed ``mc_batch`` spans emitted per clustering pass when a tracer
 #: is active; batches beyond the cap roll into one ``mc_batch_summary``
@@ -106,11 +133,12 @@ def process_remaining_points(
     queries only *owned* points (halo points exist to complete owned
     neighborhoods; their own verdicts belong to their owner rank).
 
-    ``batch_queries`` selects the MC-batched neighborhood engine (see
+    ``batch_queries`` selects the batched neighborhood engine (see
     module docstring); it requires the ``cached`` aux index, where the
-    reachable block is shared MC-wide — other modes fall back to the
+    reach block is shared MC-wide — other modes fall back to the
     per-point path.  ``block_size`` bounds the transient distance
-    matrix to ``block_size x |reachable block|`` doubles.
+    matrix of a dense sub-block to ``block_size x |reach block|``
+    doubles; flat waves are bounded by ``_WAVE_PAIRS`` instead.
 
     ``progress_cb(consumed, eligible)``, when given, is invoked every
     ``_PROGRESS_EVERY`` consumed rows (and once at the end) — the hook
@@ -178,6 +206,87 @@ def _process_per_point(
         progress_cb(consumed, total)
 
 
+class _BatchSpans:
+    """``mc_batch`` spans for the first ``_SPAN_CAP`` batches of a pass
+    and one ``mc_batch_summary`` for the rest; with no tracer active,
+    :meth:`run` is a plain call."""
+
+    def __init__(self) -> None:
+        self.tracer = current_tracer()
+        self.left = _SPAN_CAP if self.tracer is not None else 0
+        self.batches = 0
+        self.rows = 0
+        self.seconds = 0.0
+
+    def run(self, answer, rows: int, **attrs) -> BlockQueryResult:
+        if self.tracer is None:
+            return answer()
+        if self.left > 0:
+            self.left -= 1
+            with self.tracer.span("mc_batch", rows=rows, **attrs):
+                return answer()
+        t0 = time.perf_counter()
+        out = answer()
+        self.seconds += time.perf_counter() - t0
+        self.batches += 1
+        self.rows += rows
+        return out
+
+    def close(self) -> None:
+        if self.batches:
+            # the capped remainder, as one span: counters say how many
+            # batches it stands for and how long their queries took
+            with self.tracer.span(
+                "mc_batch_summary", batches=self.batches, rows=self.rows
+            ) as summary:
+                summary.set_attr("query_seconds", self.seconds)
+
+
+def _flat_wave(
+    murtree: MuRTree,
+    rows: np.ndarray,
+    costs: np.ndarray,
+    eps_raw: float,
+    h_raw: float,
+) -> BlockQueryResult:
+    """Answer the queries of ``rows`` — members of small reach blocks,
+    ``costs[i]`` candidates each — in one pass over all their
+    (row, candidate) pairs.
+
+    Each pair is scored with the direct per-pair form
+    :meth:`MuRTree.query_ball` applies to a whole block, so every
+    verdict is bit-identical to the per-point path's whatever the
+    wave's shape; counts and neighbour lists come from segment
+    reductions and keep the reach CSR's order."""
+    pair_end = np.cumsum(costs)
+    cand = np.take(
+        murtree.reach_flat,
+        concat_ranges(murtree.reach_offsets[murtree.point_mc[rows]], costs),
+    )
+    points = murtree.points
+    diff = np.take(points, cand, axis=0)
+    diff -= np.repeat(np.take(points, rows, axis=0), costs, axis=0)
+    raw = murtree.metric.raw_to_point(diff, np.zeros(points.shape[1]))
+    hit = raw < eps_raw
+    nbr = cand[hit]
+    nbr_raw = raw[hit]
+    hits_before = np.zeros(hit.size + 1, dtype=np.int64)
+    np.cumsum(hit, out=hits_before[1:])
+    offsets = hits_before[np.r_[0, pair_end]]
+    half_before = np.zeros(nbr.size + 1, dtype=np.int64)
+    np.cumsum(nbr_raw < h_raw, out=half_before[1:])
+    return BlockQueryResult(
+        rows,
+        nbr,
+        nbr_raw,
+        offsets,
+        np.diff(offsets),
+        half_before[offsets[1:]] - half_before[offsets[:-1]],
+        h_raw,
+        per_row_cost=0,  # charged per consumed row by the caller
+    )
+
+
 def _process_batched(
     state: MuDBSCANState,
     dynamic_wndq: bool,
@@ -185,7 +294,8 @@ def _process_batched(
     block_size: int,
     progress_cb=None,
 ) -> None:
-    """MC-batched Algorithm 6: precompute per-MC, consume in row order."""
+    """Batched Algorithm 6: answers computed ahead by the kernel of each
+    row's reach block, verdicts consumed in global row order."""
     murtree = state.murtree
     min_pts = state.params.min_pts
     counters = state.counters
@@ -196,104 +306,95 @@ def _process_batched(
     pending = np.flatnonzero(eligible)
     if pending.size == 0:
         return
+    point_mc = murtree.point_mc
+    # distance evaluations of each pending query: its reach block's size
+    cost = np.diff(murtree.reach_offsets)[point_mc[pending]]
+    dense = cost >= DENSE_MIN_CANDIDATES
+    wave_rows = pending[~dense]
+    wave_costs = cost[~dense]
 
-    # ---- group the pending rows by MC (shared reachable block) --------
-    mc_ids = murtree.point_mc[pending]
-    order = np.argsort(mc_ids, kind="stable")
-    sorted_rows = pending[order]
-    sorted_mcs = mc_ids[order]
-    group_starts = np.flatnonzero(
-        np.concatenate([[True], sorted_mcs[1:] != sorted_mcs[:-1]])
+    # ---- rows of large reach blocks, grouped by MC ---------------------
+    dense_rows = pending[dense]
+    order = np.argsort(point_mc[dense_rows], kind="stable")
+    ids, starts = np.unique(point_mc[dense_rows[order]], return_index=True)
+    groups: dict[int, np.ndarray] = dict(
+        zip(ids.tolist(), np.split(dense_rows[order], starts[1:]))
     )
-    groups: dict[int, np.ndarray] = {
-        int(sorted_mcs[s]): sorted_rows[s:e]
-        for s, e in zip(group_starts, np.append(group_starts[1:], sorted_rows.size))
-    }
 
     # ---- per-row verdicts, original global row order ------------------
-    # Sub-blocks are computed lazily, when a not-yet-answered row comes
-    # up, over the next still-live (un-promoted) members of its MC.  The
-    # sub-block size starts small and grows geometrically: in dense MCs
-    # the first consumed core row typically promotes the rest of the MC
-    # (its inner half-ball), so an eagerly-precomputed full-MC block
-    # would mostly be discarded — a small first batch bounds that waste,
-    # while promotion-free MCs quickly reach full-width blocks and keep
-    # the vectorized amortisation.  (A promotion landing between a
-    # sub-block's build and the row's turn still discards its answer,
-    # like the per-point path skips — the wndq re-check decides.)
+    # Answers are computed lazily, when a not-yet-answered row comes up.
+    # A row of a large reach block starts its MC's next dense sub-block,
+    # over the MC's next still-live (un-promoted) members; the sub-block
+    # size starts small and grows geometrically: in dense MCs the first
+    # consumed core row typically promotes the rest of the MC (its inner
+    # half-ball), so an eagerly-precomputed full-MC block would mostly
+    # be discarded — a small first batch bounds that waste, while
+    # promotion-free MCs quickly reach full-width blocks.  Any other row
+    # starts a flat wave over the next still-live small-block rows in
+    # global order, up to _WAVE_PAIRS (row, candidate) pairs.  Either
+    # way, a row promoted between its answer and its turn is skipped
+    # like the per-point path skips it — the wndq re-check decides.
     wndq = state.wndq
-    point_mc = murtree.point_mc
-    half_radius = state.params.eps * 0.5
-    # resolved once: per-batch spans only exist when a tracer is active,
-    # so the loop pays a single None check per block when tracing is off.
-    # Even with a tracer, only the first _SPAN_CAP blocks get their own
-    # span; the rest roll into one mc_batch_summary span at the end —
-    # span-per-block was the dominant cost of enabled-mode tracing.
-    tracer = current_tracer()
-    spans_left = _SPAN_CAP if tracer is not None else 0
-    rolled_batches = 0
-    rolled_rows = 0
-    rolled_seconds = 0.0
-    consumed = 0
-    blocks: list[BlockQueryResult] = []
-    blk_id = np.full(state.n, -1, dtype=np.int64)
-    local_ix = np.zeros(state.n, dtype=np.int64)
-    pos: dict[int, int] = {}
-    sub_size: dict[int, int] = {}
     core = state.core
     assigned = state.assigned
-    for row in pending:
-        row = int(row)
+    metric = murtree.metric
+    eps_raw = metric.threshold(murtree.eps)
+    half_radius = state.params.eps * 0.5
+    h_raw = metric.threshold(half_radius)
+    spans = _BatchSpans()
+    consumed = 0
+    local_ix = np.full(state.n, -1, dtype=np.int64)
+    wave: BlockQueryResult | None = None
+    latest: dict[int, BlockQueryResult] = {}  # each MC's newest sub-block
+    pos: dict[int, int] = {}
+    sub_size: dict[int, int] = {}
+    for row, row_cost in zip(pending.tolist(), cost.tolist()):
         if wndq[row]:
             continue  # promoted mid-run by the dynamic rule: query saved
-        b = blk_id[row]
-        if b < 0:
-            mc_id = int(point_mc[row])
-            seg = groups[mc_id][pos.get(mc_id, 0) :]
-            k = sub_size.get(mc_id, _FIRST_SUB_BLOCK)
-            sub = seg[~wndq[seg]][:k]  # sub[0] == row: earlier live rows
-            # of the MC were answered by previous sub-blocks
-            pos[mc_id] = pos.get(mc_id, 0) + int(np.searchsorted(seg, sub[-1])) + 1
-            sub_size[mc_id] = k * _SUB_BLOCK_GROWTH
-            b = len(blocks)
-            blk_id[sub] = b
-            local_ix[sub] = np.arange(sub.size)
-            if spans_left > 0:
-                spans_left -= 1
-                with tracer.span("mc_batch", mc=mc_id, rows=int(sub.size)):
-                    blocks.append(
-                        murtree.query_ball_block(
-                            mc_id,
-                            sub,
-                            half_radius=half_radius,
-                            block_size=block_size,
-                            count_work=False,
-                            validate=False,  # rows were grouped by point_mc
-                        )
-                    )
-            else:
-                if tracer is not None:
-                    t0 = time.perf_counter()
-                blocks.append(
-                    murtree.query_ball_block(
+        in_dense = row_cost >= DENSE_MIN_CANDIDATES
+        mc_id = int(point_mc[row])
+        if local_ix[row] < 0:
+            if in_dense:
+                seg = groups[mc_id][pos.get(mc_id, 0) :]
+                k = sub_size.get(mc_id, _FIRST_SUB_BLOCK)
+                sub = seg[~wndq[seg]][:k]  # sub[0] == row: earlier live rows
+                # of the MC were answered by previous sub-blocks
+                pos[mc_id] = pos.get(mc_id, 0) + int(np.searchsorted(seg, sub[-1])) + 1
+                sub_size[mc_id] = k * _SUB_BLOCK_GROWTH
+                latest[mc_id] = spans.run(
+                    lambda: murtree.query_ball_block(
                         mc_id,
                         sub,
                         half_radius=half_radius,
                         block_size=block_size,
                         count_work=False,
-                        validate=False,  # rows were grouped by point_mc above
-                    )
+                        validate=False,  # rows were grouped by point_mc
+                    ),
+                    rows=int(sub.size),
+                    mc=mc_id,
                 )
-                if tracer is not None:
-                    rolled_seconds += time.perf_counter() - t0
-                    rolled_batches += 1
-                    rolled_rows += int(sub.size)
-        block = blocks[b]
+            else:
+                # every earlier small-block row is consumed or promoted,
+                # so the wave starts here; each row costs >= 1 pair
+                at = int(np.searchsorted(wave_rows, row))
+                window = wave_rows[at : at + _WAVE_PAIRS]
+                live = np.flatnonzero(~wndq[window])
+                spent = np.cumsum(wave_costs[at + live])
+                k = max(1, int(np.searchsorted(spent, _WAVE_PAIRS, side="right")))
+                sub = window[live[:k]]
+                sub_costs = wave_costs[at + live[:k]]
+                wave = spans.run(
+                    lambda: _flat_wave(murtree, sub, sub_costs, eps_raw, h_raw),
+                    rows=k,
+                    pairs=int(spent[k - 1]),
+                )
+            local_ix[sub] = np.arange(sub.size)
+        block = latest[mc_id] if in_dense else wave
         i = int(local_ix[row])
         nbrs = block.nbrs(i)
         state.queried[row] = True
         counters.queries_run += 1
-        counters.dist_calcs += block.per_row_cost
+        counters.dist_calcs += row_cost
         consumed += 1
         if progress_cb is not None and consumed % _PROGRESS_EVERY == 0:
             progress_cb(consumed, int(pending.size))
@@ -311,22 +412,17 @@ def _process_batched(
         if dynamic_wndq and block.n_half[i] >= min_pts:
             inner = block.inner(i)
             # marking q only flips q's own core flag, so the pre-filtered
-            # set equals what the per-point loop's running check visits
-            for q in inner[~core[inner]]:
-                qi = int(q)
-                state.mark_wndq_core(qi)
-                state.union(row, qi)
+            # set equals what the per-point loop's running check visits;
+            # none of it is core, so none is wndq-core yet either
+            promote = inner[~core[inner]]
+            if promote.size:
+                wndq[promote] = True
+                core[promote] = True
+                state.wndq_corelist.extend(promote.tolist())
+                state.union_many(row, promote)
         merge = nbrs[(core[nbrs] | ~assigned[nbrs]) & (nbrs != row)]
         state.union_many(row, merge)
         assigned[row] = True
-    if tracer is not None and rolled_batches:
-        # the capped remainder, as one span: counters say how many
-        # blocks it stands for and how long their queries took in total
-        with tracer.span(
-            "mc_batch_summary",
-            batches=rolled_batches,
-            rows=rolled_rows,
-        ) as summary:
-            summary.set_attr("query_seconds", rolled_seconds)
+    spans.close()
     if progress_cb is not None:
         progress_cb(consumed, int(pending.size))

@@ -25,7 +25,13 @@ import numpy as np
 from repro.geometry.distance import sq_dists_to_point
 from repro.instrumentation.counters import Counters
 
-__all__ = ["UniformGrid", "hash_cells", "neighbor_cells", "neighbor_members"]
+__all__ = [
+    "UniformGrid",
+    "concat_ranges",
+    "hash_cells",
+    "neighbor_cells",
+    "neighbor_members",
+]
 
 #: element budget of one lookup chunk in :func:`neighbor_cells` — bounds
 #: its largest temporary (int64 probes or differences) to 4 MiB
@@ -139,10 +145,26 @@ def neighbor_members(
     the members of every neighbour of cell ``i`` are ``flat[start[i]:
     start[i + 1]]`` in the returned ``(start, flat)``."""
     seg = count[nbrs]
-    seg_end = np.cumsum(seg)
-    total = int(seg_end[-1]) if seg.size else 0
-    flat = members[np.arange(total) + np.repeat(first[nbrs] - seg_end + seg, seg)]
-    return np.r_[0, seg_end][indptr], flat
+    seg_end = np.zeros(seg.size + 1, dtype=np.int64)
+    np.cumsum(seg, out=seg_end[1:])
+    return seg_end[indptr], np.take(members, concat_ranges(first[nbrs], seg))
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[k] .. starts[k] + lengths[k] - 1`` one after
+    another, as one int64 array: a cumulative sum of unit steps that
+    jumps to ``starts[k]`` where range ``k`` begins, so the output is
+    the only large array made."""
+    keep = lengths > 0
+    if not keep.all():
+        starts, lengths = starts[keep], lengths[keep]
+    total = int(lengths.sum())
+    out = np.ones(total, dtype=np.int64)
+    if total:
+        out[0] = starts[0]
+        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
 
 
 class UniformGrid:

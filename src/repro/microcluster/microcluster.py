@@ -64,7 +64,8 @@ class MicroCluster:
         "ic_rows",
         "reach_ids",
         "reach_rows",
-        "reach_points",
+        "_reach_points",
+        "_dataset",
         "aux_tree",
     )
 
@@ -79,10 +80,12 @@ class MicroCluster:
         self.mbr_high: np.ndarray | None = None
         self.ic_rows: np.ndarray | None = None
         self.reach_ids: np.ndarray | None = None
-        #: cached concatenation of the reachable MCs' member rows/points
-        #: (aux_index="cached" — one vectorized scan per ε-query)
+        #: concatenation of the reachable MCs' member rows (aux_index=
+        #: "cached" — one vectorized scan per ε-query); its coordinates
+        #: are copied into ``reach_points`` on first use
         self.reach_rows: np.ndarray | None = None
-        self.reach_points: np.ndarray | None = None
+        self._reach_points: np.ndarray | None = None
+        self._dataset: np.ndarray | None = None
         self.aux_tree = None  # PointRTree when aux_index="rtree"
 
     # ------------------------------------------------------------------
@@ -145,6 +148,30 @@ class MicroCluster:
             mc.member_rows, mc.member_points = rows[lo:hi], member_points[lo:hi]
             mc.mbr_low, mc.mbr_high = lows[i], highs[i]
             mc.ic_rows = ic_rows[ic_bounds[i] : ic_bounds[i + 1]]
+
+    # ------------------------------------------------------------------
+    # reach block (aux_index="cached")
+
+    def set_reach_rows(
+        self,
+        rows: np.ndarray,
+        points: np.ndarray,
+        coords: np.ndarray | None = None,
+    ) -> None:
+        """Attach the reach block's rows of the dataset ``points``, with
+        their coordinates ``coords`` when the caller gathered them; else
+        they are copied when :attr:`reach_points` is first read."""
+        self.reach_rows = rows
+        self._dataset = points
+        self._reach_points = coords
+
+    @property
+    def reach_points(self) -> np.ndarray | None:
+        """Coordinates of :attr:`reach_rows`, a private contiguous block
+        made on first read (``None`` until the rows are attached)."""
+        if self._reach_points is None and self.reach_rows is not None:
+            self._reach_points = np.take(self._dataset, self.reach_rows, axis=0)
+        return self._reach_points
 
     # ------------------------------------------------------------------
     # classification (valid after freeze)

@@ -25,18 +25,31 @@ import numpy as np
 from repro.geometry.distance import require_finite, sq_dists_to_point
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
 from repro.geometry.regions import point_rect_sq_dist
+from repro.index.grid import concat_ranges, neighbor_members
 from repro.index.rtree import RTree, PointRTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE, build_micro_clusters
 from repro.microcluster.microcluster import MicroCluster
 from repro.microcluster.reachability import compute_reachable, compute_reachable_batched
 
-__all__ = ["MuRTree", "BlockQueryResult", "DEFAULT_BLOCK_SIZE"]
+__all__ = ["MuRTree", "BlockQueryResult", "DEFAULT_BLOCK_SIZE", "DENSE_MIN_CANDIDATES"]
 
 #: default row budget per batched distance block — bounds the transient
 #: ``block_size x |reachable block|`` matrix of one ``query_ball_block``
 #: chunk (see docs/TUNING.md)
 DEFAULT_BLOCK_SIZE = 1024
+
+#: reach blocks of at least this many candidates are *dense*: Algorithm 6
+#: answers their MC's rows per MC with ``query_ball_block`` matrices (one
+#: BLAS expansion each), so their coordinates are copied when the blocks
+#: are laid out; smaller blocks are answered by flat waves of (row,
+#: candidate) pairs (``repro.core.remaining``).  On the perfbench fit
+#: inputs (``halos``: 5,376 MCs, median reach block 11 candidates;
+#: ``blobs``: 941 MCs, median 450) Algorithm 6 took 0.31 / 0.19 / 0.19 /
+#: 0.17 s on ``halos`` and 0.50 / 0.46 / 0.49 / 1.13 s on ``blobs`` with
+#: thresholds 64 / 256 / 1,024 / none (flat waves only): median CPU
+#: seconds of 5 interleaved runs, 2-vCPU VM.
+DENSE_MIN_CANDIDATES = 256
 
 
 def _flatten(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -133,11 +146,14 @@ class MuRTree:
     eps:
         DBSCAN ε — fixes the MC radius and all derived thresholds.
     aux_index:
-        ``"cached"`` (default): each MC precomputes, once, the
-        concatenation of its reachable MCs' member coordinates, so every
+        ``"cached"`` (default): each MC gets its *reach block*, the
+        concatenation of its reachable MCs' member rows, so every
         ε-query is a *single* vectorized distance pass — this is where
         the design's spatial locality pays off under numpy (reachable
-        sets are small and reused by every member of the MC).
+        sets are small and reused by every member of the MC).  The rows
+        of all blocks form one CSR (:attr:`reach_flat`,
+        :attr:`reach_offsets`); coordinates are copied for the dense
+        blocks only, and for any other block on first use.
         ``"flat"``: per-reachable-MC vectorized scans with per-point
         MBR filtration.  ``"rtree"``: per-MC AuxR-trees as in the
         paper's Fig. 1.  All three return identical neighborhoods.
@@ -224,6 +240,8 @@ class MuRTree:
                     bulk=aux_bulk,
                 )
         self._reachable_done = False
+        self.reach_flat: np.ndarray | None = None
+        self.reach_offsets: np.ndarray | None = None
 
     @classmethod
     def from_prebuilt(
@@ -279,10 +297,9 @@ class MuRTree:
                     )
         # reach lists may be pre-populated by the caller (cache reuse);
         # compute_reachability() fills whatever is missing
-        self._reachable_done = all(mc.reach_ids is not None for mc in mcs) and (
-            aux_index != "cached"
-            or all(mc.reach_points is not None for mc in mcs)
-        )
+        self._reachable_done = all(mc.reach_ids is not None for mc in mcs)
+        self.reach_flat = None
+        self.reach_offsets = None
         return self
 
     # ------------------------------------------------------------------
@@ -304,28 +321,70 @@ class MuRTree:
     def compute_reachability(self) -> None:
         """Populate every MC's reachable list (Algorithm 5); idempotent.
 
-        In ``cached`` mode this also materialises each MC's concatenated
-        reachable-point block (part of the paper's "finding reachable
-        groups" phase cost, and the μR-tree's extra memory footprint)."""
-        if self._reachable_done:
-            return
-        if self.builder == "grid":
-            compute_reachable_batched(
-                self.mcs, self.eps, self.counters, metric=self.metric
-            )
-        else:
-            compute_reachable(
-                self.mcs, self.level1, self.eps, self.counters, metric=self.metric
-            )
-        if self.aux_index == "cached":
-            for mc in self.mcs:
-                assert mc.reach_ids is not None
-                rows = [self.mcs[int(w)].member_rows for w in mc.reach_ids]
-                mc.reach_rows = np.concatenate([r for r in rows if r is not None])
-                mc.reach_points = np.ascontiguousarray(
-                    self.points[mc.reach_rows], dtype=np.float64
+        In ``cached`` mode this also lays out every MC's reach block —
+        the concatenated member rows of its reachable MCs — as one CSR,
+        :attr:`reach_flat` cut by :attr:`reach_offsets` (MC ``i``'s rows
+        are ``reach_flat[reach_offsets[i]:reach_offsets[i + 1]]``), with
+        each ``mc.reach_rows`` a view into it.  Only the blocks of at
+        least :data:`DENSE_MIN_CANDIDATES` rows, whose MCs Algorithm 6
+        answers per MC, get their coordinates (``mc.reach_points``)
+        copied here, all in one gather; any other block is copied on
+        first read (by :meth:`query_ball` or :meth:`query_ball_block`),
+        so the small blocks of sparse data hold no copy.  On a prebuilt
+        tree whose reach lists are already set, only this layout
+        runs."""
+        if not self._reachable_done:
+            if self.builder == "grid":
+                compute_reachable_batched(
+                    self.mcs, self.eps, self.counters, metric=self.metric
                 )
-        self._reachable_done = True
+            else:
+                compute_reachable(
+                    self.mcs, self.level1, self.eps, self.counters, metric=self.metric
+                )
+            self._reachable_done = True
+        if self.aux_index == "cached" and self.reach_offsets is None:
+            self._lay_out_reach_blocks()
+
+    def _lay_out_reach_blocks(self) -> None:
+        """Build the reach CSR with one gather through the member lists."""
+        mcs = self.mcs
+        m = len(mcs)
+        sizes = np.fromiter((mc.member_rows.shape[0] for mc in mcs), np.int64, m)
+        n_reach = np.fromiter((mc.reach_ids.shape[0] for mc in mcs), np.int64, m)
+        member_start = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sizes, out=member_start[1:])
+        reach_start = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(n_reach, out=reach_start[1:])
+        self.reach_offsets, self.reach_flat = neighbor_members(
+            reach_start,
+            _flatten([mc.reach_ids for mc in mcs], np.int64),
+            member_start[:-1],
+            sizes,
+            _flatten([mc.member_rows for mc in mcs], np.int64),
+        )
+        # dense blocks get their coordinates now, from one gather, each
+        # block a view into it
+        length = np.diff(self.reach_offsets)
+        dense = length >= DENSE_MIN_CANDIDATES
+        coords = np.take(
+            self.points,
+            np.take(
+                self.reach_flat,
+                concat_ranges(self.reach_offsets[:-1][dense], length[dense]),
+            ),
+            axis=0,
+        )
+        coord_start = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.where(dense, length, 0), out=coord_start[1:])
+        bounds = self.reach_offsets.tolist()
+        coord_bounds = coord_start.tolist()
+        for i, (mc, is_dense) in enumerate(zip(mcs, dense.tolist())):
+            mc.set_reach_rows(
+                self.reach_flat[bounds[i] : bounds[i + 1]],
+                self.points,
+                coords[coord_bounds[i] : coord_bounds[i + 1]] if is_dense else None,
+            )
 
     # ------------------------------------------------------------------
     # queries
@@ -497,12 +556,15 @@ class MuRTree:
         for start in range(0, rows_arr.size, block_size):
             chunk = rows_arr[start : start + block_size]
             raw_mat = self.metric.raw_pairwise(self.points[chunk], cand_pts)
-            eps_mask = raw_mat < r_raw
-            # boolean gather walks the matrix row-major — the same
-            # ascending candidate order query_ball returns per row
-            raw_parts.append(raw_mat[eps_mask])
-            nbr_parts.append(cand_rows[eps_mask.nonzero()[1]])
-            count_parts.append(np.count_nonzero(eps_mask, axis=1))
+            # flat positions of the hits, row-major: each row's hits in
+            # ascending candidate order, as query_ball returns them
+            hit = np.flatnonzero(raw_mat < r_raw)
+            raw_parts.append(np.take(raw_mat, hit))
+            nbr_parts.append(np.take(cand_rows, hit % per_row_cost))
+            row_ends = np.searchsorted(
+                hit, np.arange(0, (chunk.size + 1) * per_row_cost, per_row_cost)
+            )
+            count_parts.append(np.diff(row_ends))
 
         counts = _flatten(count_parts, np.int64)
         raw_flat = _flatten(raw_parts, np.float64)

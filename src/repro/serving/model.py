@@ -372,8 +372,9 @@ class FittedModel:
         stored ``center ± eps`` boxes, and the reachability lists are
         restored verbatim — so ``serving_counters.micro_clusters``
         stays 0 (Algorithm 3 never runs) and ``compute_reachability``
-        is a no-op (Algorithm 5 never runs).  The round-trip test
-        asserts both.
+        computes no distance (Algorithm 5 never runs).  The round-trip
+        test asserts both.  No MC gets a reach block: prediction reads
+        only the level-1 tree, the centers and the member blocks.
         """
         if self._murtree is None:
             self._murtree = self._rebuild_murtree()
@@ -392,17 +393,10 @@ class FittedModel:
         MicroCluster.freeze_batch(
             mcs, self.member_flat, self.member_offsets, self.points, eps, metric=metric
         )
-        # cached-mode reachable blocks, concatenated from stored lists
+        # the stored reach lists only: prediction reads the level-1 tree,
+        # the centers and the member blocks, never a reach block
         for mc in mcs:
             mc.reach_ids = self.reach_ids(mc.mc_id).copy()
-            rows = [mcs[int(w)].member_rows for w in mc.reach_ids]
-            rows = [r for r in rows if r is not None and r.size]
-            mc.reach_rows = (
-                np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-            )
-            mc.reach_points = np.ascontiguousarray(
-                self.points[mc.reach_rows], dtype=np.float64
-            )
         dim = max(self.dim, 1)
         level1 = RTree(dim, max_entries=64, counters=self.serving_counters)
         if mcs:

@@ -13,9 +13,12 @@ import pytest
 
 from repro.core.mudbscan import mu_dbscan, run_mu_dbscan_state
 from repro.core.params import DBSCANParams
+from repro.core.process_mcs import process_micro_clusters
+from repro.core.remaining import _flat_wave
+from repro.core.state import MuDBSCANState
 from repro.data.synthetic import blobs_with_noise
 from repro.instrumentation.counters import Counters
-from repro.microcluster.murtree import MuRTree
+from repro.microcluster.murtree import DENSE_MIN_CANDIDATES, MuRTree
 from repro.validation.exactness import check_exact
 
 COUNTER_FIELDS = ("queries_run", "queries_saved", "dist_calcs", "unions")
@@ -23,6 +26,13 @@ COUNTER_FIELDS = ("queries_run", "queries_saved", "dist_calcs", "unions")
 
 def _workload(seed: int, dim: int = 2):
     pts = blobs_with_noise(700, dim, 5, noise_fraction=0.25, seed=seed)
+    return pts, 0.06, 7
+
+
+def _mixed_workload(seed: int):
+    """Two dense blobs in noise: pending rows on both sides of the dense
+    kernel's reach-block threshold (see TestBothKernels)."""
+    pts = blobs_with_noise(2000, 2, 2, noise_fraction=0.3, seed=seed)
     return pts, 0.06, 7
 
 
@@ -171,3 +181,84 @@ class TestQueryBallBlock:
         assert foreign is not None
         with pytest.raises(ValueError, match="belong"):
             tree.query_ball_block(int(tree.point_mc[0]), foreign.member_rows)
+
+
+class TestBothKernels:
+    """Rows of reach blocks of at least ``DENSE_MIN_CANDIDATES``
+    candidates are answered by dense per-MC sub-blocks, all others by
+    flat waves; on a workload with many rows of each, the two together
+    must still reproduce the per-point path exactly."""
+
+    @staticmethod
+    def _pending_block_sizes(pts, eps, min_pts, metric):
+        tree = MuRTree(pts, eps, metric=metric)
+        tree.compute_reachability()
+        state = MuDBSCANState(tree, DBSCANParams(eps=eps, min_pts=min_pts), Counters())
+        process_micro_clusters(state)
+        return tree, np.diff(tree.reach_offsets)[tree.point_mc[~state.wndq]]
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_workload_reaches_both_kernels(self, metric):
+        pts, eps, min_pts = _mixed_workload(0)
+        _, sizes = self._pending_block_sizes(pts, eps, min_pts, metric)
+        assert np.count_nonzero(sizes >= DENSE_MIN_CANDIDATES) > 200
+        assert np.count_nonzero(sizes < DENSE_MIN_CANDIDATES) > 200
+
+    @pytest.mark.parametrize("dynamic_wndq", [True, False])
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_matches_per_point(self, metric, dynamic_wndq):
+        pts, eps, min_pts = _mixed_workload(1)
+        _assert_equivalent(
+            *_run_both(pts, eps, min_pts, metric=metric, dynamic_wndq=dynamic_wndq)
+        )
+
+    def test_block_size_three(self):
+        pts, eps, min_pts = _mixed_workload(2)
+        chunked = mu_dbscan(pts, eps, min_pts, batch_queries=True, block_size=3)
+        per_point = mu_dbscan(pts, eps, min_pts, batch_queries=False)
+        _assert_equivalent(chunked, per_point)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_process_mask(self, metric):
+        pts, eps, min_pts = _mixed_workload(3)
+        mask = np.random.default_rng(3).random(pts.shape[0]) < 0.5
+        states = {
+            bq: run_mu_dbscan_state(
+                pts,
+                DBSCANParams(eps=eps, min_pts=min_pts),
+                batch_queries=bq,
+                counters=Counters(),
+                metric=metric,
+                process_mask=mask,
+            )[0]
+            for bq in (True, False)
+        }
+        a, b = states[True], states[False]
+        for flag in ("core", "wndq", "assigned", "queried"):
+            np.testing.assert_array_equal(getattr(a, flag), getattr(b, flag))
+        np.testing.assert_array_equal(
+            a.uf.labels(noise_mask=a.final_noise_mask()),
+            b.uf.labels(noise_mask=b.final_noise_mask()),
+        )
+        for field in COUNTER_FIELDS:
+            assert getattr(a.counters, field) == getattr(b.counters, field), field
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_flat_wave_equals_query_ball_bitwise(self, metric):
+        """A wave scores each pair with query_ball's direct form: same
+        neighbours in the same order and bit-identical raw values,
+        whichever rows share the wave."""
+        pts, eps, min_pts = _mixed_workload(4)
+        tree, _ = self._pending_block_sizes(pts, eps, min_pts, metric)
+        sizes = np.diff(tree.reach_offsets)[tree.point_mc]
+        rows = np.flatnonzero(sizes < DENSE_MIN_CANDIDATES)
+        eps_raw = tree.metric.threshold(eps)
+        h_raw = tree.metric.threshold(eps * 0.5)
+        for wave_rows in (rows, rows[::-7], rows[:1]):
+            wave = _flat_wave(tree, wave_rows, sizes[wave_rows], eps_raw, h_raw)
+            for i, row in enumerate(wave_rows.tolist()):
+                nbrs, raw = tree.query_ball(row)
+                np.testing.assert_array_equal(wave.nbrs(i), nbrs)
+                np.testing.assert_array_equal(wave.raw(i), raw)
+                assert wave.n_eps[i] == nbrs.shape[0]
+                assert wave.n_half[i] == np.count_nonzero(raw < h_raw)

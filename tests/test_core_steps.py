@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import DBSCANParams
 from repro.core.postprocess import postprocess_core, postprocess_noise
@@ -150,6 +152,53 @@ class TestProcessRemaining:
         process_remaining_points(state, dynamic_wndq=True)
         assert state.counters.queries_run == 1  # only the first point
         assert state.core.all()
+
+
+@st.composite
+def _merge_cases(draw):
+    """Prior unions, a pivot and a merge list that may repeat rows,
+    hold the pivot itself and hold rows already joined to it."""
+    n = draw(st.integers(1, 40))
+    row = st.integers(0, n - 1)
+    prior = draw(st.lists(st.tuples(row, row), max_size=40))
+    pivot = draw(row)
+    others = draw(st.lists(row, max_size=60))
+    joined = [b for a, b in prior if a == pivot] + [a for a, b in prior if b == pivot]
+    if draw(st.booleans()):
+        others += joined
+    if draw(st.booleans()):
+        others.append(pivot)
+    if others and draw(st.booleans()):
+        others += others[: draw(st.integers(1, len(others)))]  # duplicates
+    order = draw(st.permutations(range(len(others))))
+    return n, prior, pivot, [others[i] for i in order]
+
+
+class TestUnionMany:
+    """``union_many`` joins each distinct parent once; it must leave the
+    same state as ``union(x, q)`` for every ``q`` in turn."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_merge_cases())
+    def test_matches_a_loop_of_unions(self, case):
+        n, prior, pivot, others = case
+        pts = np.arange(n, dtype=np.float64)[:, None] * 10.0
+        batched = _make_state(pts, eps=1.0, min_pts=2)
+        looped = _make_state(pts, eps=1.0, min_pts=2)
+        for state in (batched, looped):
+            for a, b in prior:
+                state.union(a, b)
+        batched.union_many(pivot, np.asarray(others, dtype=np.int64))
+        for q in others:
+            looped.union(pivot, q)
+        np.testing.assert_array_equal(batched.uf.labels(), looped.uf.labels())
+        assert batched.counters.unions == looped.counters.unions
+        assert batched.uf.n_sets == looped.uf.n_sets
+        np.testing.assert_array_equal(batched.assigned, looped.assigned)
 
 
 class TestPostprocessCore:

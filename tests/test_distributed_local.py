@@ -13,6 +13,7 @@ import pytest
 
 from repro import brute_dbscan
 from repro.core.params import DBSCANParams
+from repro.data.registry import load_dataset
 from repro.data.synthetic import blobs_with_noise
 from repro.distributed.local import run_local_mu_dbscan
 from repro.geometry.distance import sq_dists_to_point
@@ -112,3 +113,35 @@ class TestFragmentInvariants:
         assert frag_l.stats["n_owned"] == lo.shape[0]
         assert frag_l.stats["n_halo"] >= 0
         assert "phase_seconds" in frag_l.stats
+
+
+def _blobs_scene():
+    return blobs_with_noise(3000, 2, 6, seed=3), 0.06, 7
+
+
+def _halos_scene():
+    pts, spec = load_dataset("MPAGD100M3D", scale=0.3)
+    return pts, spec.eps, spec.min_pts
+
+
+class TestBatchedFragments:
+    """μDBSCAN-D keeps a per-pair union loop, so the batched engine must
+    emit a rank's fragment exactly as the per-point path does: the same
+    cross pairs in the same order, the same local unions and flags."""
+
+    @pytest.mark.parametrize("make", [_blobs_scene, _halos_scene], ids=["blobs", "halos"])
+    def test_batched_fragment_equals_per_point(self, make):
+        pts, eps, min_pts = make()
+        params = DBSCANParams(eps=eps, min_pts=min_pts)
+        for owned, halo in _split_scene(pts, eps):
+            batched, per_point = (
+                run_local_mu_dbscan(
+                    pts[owned], owned, pts[halo], halo, params, batch_queries=bq
+                )
+                for bq in (True, False)
+            )
+            assert batched.cross_pairs.shape[0] > 0
+            np.testing.assert_array_equal(batched.cross_pairs, per_point.cross_pairs)
+            np.testing.assert_array_equal(batched.intra_edges, per_point.intra_edges)
+            np.testing.assert_array_equal(batched.core, per_point.core)
+            np.testing.assert_array_equal(batched.assigned, per_point.assigned)

@@ -126,3 +126,44 @@ class TestIterNeighborLists:
         pts = rng.random((23, 2))
         indices = [idx for idx, _ in iter_neighbor_lists(pts, 0.1, chunk_rows=7)]
         assert indices == list(range(23))
+
+
+class TestFarFromOrigin:
+    """The BLAS-expansion kernels must not lose the difference under
+    ``|x|²`` far from the origin.  On a 1/1024 lattice a shift by 10⁶
+    or 10⁷ is exact, so every pairwise difference — and with it the
+    clustering — is unchanged by the shift."""
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        from repro.baselines import brute_dbscan
+
+        pts = np.round(np.random.default_rng(5).uniform(0, 12, (3000, 3)) * 1024) / 1024
+        return pts, brute_dbscan(pts, 1.0, 8)
+
+    @pytest.mark.parametrize("shift", [1e6, 1e7])
+    def test_fit_and_oracle_exact_after_shift(self, lattice, shift):
+        import repro
+        from repro.baselines import brute_dbscan
+        from repro.validation.exactness import check_exact
+
+        pts, truth = lattice
+        shifted = pts + shift
+        np.testing.assert_array_equal(shifted - shift, pts)  # the shift is exact
+        for result in (repro.fit(shifted, 1.0, 8), brute_dbscan(shifted, 1.0, 8)):
+            np.testing.assert_array_equal(result.core_mask, truth.core_mask)
+            report = check_exact(result, truth, points=pts)
+            assert report.ok, str(report)
+
+    @pytest.mark.parametrize("shift", [0.0, 3e7 + 2**-10], ids=["origin", "far"])
+    def test_kernels_centre_before_expanding(self, shift):
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + shift
+        b = np.array([[0.5, 0.0], [3.0, 4.0]]) + shift
+        expected = np.array([[0.25, 25.0], [0.25, 20.0], [1.25, 18.0]])
+        np.testing.assert_array_equal(pairwise_sq_dists(a, b), expected)
+        np.testing.assert_array_equal(
+            pairwise_sq_dists(a), [[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]
+        )
+        blocks = []
+        chunked_pairwise_apply(a, b, lambda off, blk: blocks.append(blk), chunk_rows=2)
+        np.testing.assert_array_equal(np.vstack(blocks), expected)

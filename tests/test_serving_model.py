@@ -106,6 +106,25 @@ class TestRoundTrip:
             np.testing.assert_array_equal(mc_l.reach_ids, mc_f.reach_ids)
             np.testing.assert_array_equal(mc_l.ic_rows, mc_f.ic_rows)
 
+    def test_served_index_builds_no_reach_blocks(self, small_blobs, rng):
+        """Prediction reads the level-1 tree, the centers and the member
+        blocks; the rebuilt index keeps the reach lists only."""
+        model = fit_model(small_blobs, 0.08, 6)
+        loaded = FittedModel.from_bytes(model.to_bytes())
+        queries = np.vstack(
+            [small_blobs[::7], rng.uniform(-2, 2, (30, small_blobs.shape[1]))]
+        )
+        got = predict_model(loaded, queries)
+        want = brute_predict(
+            model.points, model.labels, model.core_mask, 0.08, 6, queries
+        )
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.would_be_core, want.would_be_core)
+        np.testing.assert_array_equal(got.nearest_core, want.nearest_core)
+        for mc in loaded.murtree.mcs:
+            assert mc.reach_ids is not None
+            assert mc.reach_rows is None and mc.reach_points is None
+
     def test_empty_dataset(self):
         model = fit_model(np.empty((0, 3)), 0.5, 4)
         loaded = FittedModel.from_bytes(model.to_bytes())
