@@ -1,18 +1,21 @@
 """Performance smoke tests: batched queries + distributed wall clock.
 
-Two cases, selected by command line so CI can keep the fast one on
-every run and gate the expensive one separately:
+Several cases, selected by command line so CI can keep the fast one on
+every run and gate the expensive ones separately:
 
-* **default** — the batched-engine regression gates.  Runs μDBSCAN
-  three ways on a fixed 20k-point workload — the per-point seed path
-  (scan builder, per-point queries), the batched query path (scan
-  builder) and the full grid path (grid-hash builder + batched queries,
-  the library default) — and writes ``BENCH_batched_query.json``.
-  Exits non-zero when the batched clustering phase regresses by more
-  than 10% against per-point, or when the grid path's end-to-end fit
-  falls below the required speedup over the per-point seed path.  All
-  three runs must agree on counters and cluster count (the builders
-  are bit-identical by construction; this is the smoke check).
+* **default** — the production-path regression gates.  Runs μDBSCAN
+  two ways on a fixed 20k-point workload — the per-point seed path
+  (:func:`repro.validation.reference.reference_mu_dbscan`: the paper's
+  scan builder, tree-probe reachability and one query per point) and
+  the production path (:func:`repro.core.mudbscan.mu_dbscan`: grid-hash
+  builder, grid-join reachability, batched queries) — and writes
+  ``BENCH_batched_query.json``.  Both build the same micro-clusters, so
+  ``clustering_speedup`` compares the two clustering phases directly.
+  Exits non-zero when the production clustering phase is slower than
+  the per-point one by more than 10%, or when the production fit falls
+  below the required end-to-end speedup over the seed path.  Both runs
+  must agree on counters and cluster count (the paths are
+  bit-identical by construction; this is the smoke check).
 * **--serving** — the online-prediction case.  Fits the 20k workload
   into a :class:`repro.serving.FittedModel`, measures single-point
   latency through the :class:`QueryEngine` (p50/p99 over the latency
@@ -93,7 +96,7 @@ against the committed ledger via ``mudbscan report --compare``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py                  # batched gate
+    PYTHONPATH=src python benchmarks/perf_smoke.py                  # production gate
     PYTHONPATH=src python benchmarks/perf_smoke.py --serving        # prediction
     PYTHONPATH=src python benchmarks/perf_smoke.py --parallel       # wall clock
     PYTHONPATH=src python benchmarks/perf_smoke.py --fleet          # serving fleet
@@ -116,6 +119,7 @@ import numpy as np
 from repro.core.mudbscan import mu_dbscan
 from repro.data.synthetic import blobs_with_noise
 from repro.distributed.mudbscan_d import mu_dbscan_d
+from repro.validation.reference import reference_mu_dbscan
 
 N_POINTS = 20_000
 DIM = 3
@@ -125,11 +129,11 @@ SEED = 1
 EPS = 0.08
 MIN_PTS = 60
 ROUNDS = 3
-#: fail when batched clustering is slower than per-point by more than this
+#: fail when the production clustering phase is slower than the
+#: per-point one by more than this
 REGRESSION_TOLERANCE = 0.10
-#: required end-to-end fit speedup of the grid path (grid builder +
-#: batched queries) over the per-point seed path (scan builder +
-#: per-point queries)
+#: required end-to-end fit speedup of the production path over the
+#: per-point seed path (the reference pipeline)
 FIT_SPEEDUP_GATE = 2.5
 
 #: ranks the parallel case measures; the gate applies to the largest
@@ -268,15 +272,15 @@ def _usable_cores() -> int:
 
 
 # ---------------------------------------------------------------------------
-# case 1: batched-query regression gate
+# case 1: production-path regression gate
 
 
-def _best_run(batch_queries: bool, builder: str = "scan") -> dict:
-    """Best-of-ROUNDS phase timings (keyed on total fit seconds)."""
+def _best_run(fit) -> dict:
+    """Best-of-ROUNDS phase timings of ``fit`` (keyed on total fit seconds)."""
     pts = _workload()
     best: dict | None = None
     for _ in range(ROUNDS):
-        res = mu_dbscan(pts, EPS, MIN_PTS, batch_queries=batch_queries, builder=builder)
+        res = fit(pts, EPS, MIN_PTS)
         phases = res.timers.as_dict()
         fit_seconds = sum(phases.values())
         if best is None or fit_seconds < best["fit_seconds"]:
@@ -294,31 +298,28 @@ def _best_run(batch_queries: bool, builder: str = "scan") -> dict:
 
 
 def run_batched_case() -> int:
-    per_point = _best_run(batch_queries=False)
-    batched = _best_run(batch_queries=True)
-    grid = _best_run(batch_queries=True, builder="grid")
+    per_point = _best_run(reference_mu_dbscan)
+    production = _best_run(mu_dbscan)
 
-    # identical work and identical output is part of the contract — for
-    # the batched query engine *and* the grid-hash builder
-    for name, run in (("batched", batched), ("grid", grid)):
-        for key in ("queries_run", "queries_saved", "dist_calcs", "n_clusters"):
-            if per_point[key] != run[key]:
-                print(
-                    f"FAIL: {key} differs between paths "
-                    f"(per-point {per_point[key]}, {name} {run[key]})"
-                )
-                return 2
+    # identical work and identical output is part of the contract
+    for key in ("queries_run", "queries_saved", "dist_calcs", "n_clusters"):
+        if per_point[key] != production[key]:
+            print(
+                f"FAIL: {key} differs between paths "
+                f"(per-point {per_point[key]}, production {production[key]})"
+            )
+            return 2
 
-    speedup = per_point["phases"]["clustering"] / batched["phases"]["clustering"]
+    speedup = per_point["phases"]["clustering"] / production["phases"]["clustering"]
     tree_speedup = (
-        per_point["phases"]["tree_construction"] / grid["phases"]["tree_construction"]
+        per_point["phases"]["tree_construction"]
+        / production["phases"]["tree_construction"]
     )
-    fit_speedup = per_point["fit_seconds"] / grid["fit_seconds"]
+    fit_speedup = per_point["fit_seconds"] / production["fit_seconds"]
     report = {
         "workload": {**_workload_record(), "rounds": ROUNDS},
         "per_point": per_point,
-        "batched": batched,
-        "grid": grid,
+        "production": production,
         "clustering_speedup": round(speedup, 3),
         "tree_construction_speedup": round(tree_speedup, 3),
         "fit_speedup": round(fit_speedup, 3),
@@ -331,39 +332,34 @@ def run_batched_case() -> int:
         OUT_PATH,
         "batched_query",
         report,
-        wall_seconds=grid["fit_seconds"],
+        wall_seconds=production["fit_seconds"],
         metrics={
-            "clustering_seconds": batched["phases"]["clustering"],
+            "clustering_seconds": production["phases"]["clustering"],
             "clustering_speedup": round(speedup, 3),
             "tree_construction_speedup": round(tree_speedup, 3),
             "fit_speedup": round(fit_speedup, 3),
         },
     )
 
-    print(
-        f"clustering: per-point {per_point['phases']['clustering']:.3f}s, "
-        f"batched {batched['phases']['clustering']:.3f}s "
-        f"-> {speedup:.2f}x"
-    )
-    print(
-        f"tree_construction: scan {per_point['phases']['tree_construction']:.3f}s, "
-        f"grid {grid['phases']['tree_construction']:.3f}s "
-        f"-> {tree_speedup:.2f}x"
-    )
+    for phase, ratio in (("clustering", speedup), ("tree_construction", tree_speedup)):
+        print(
+            f"{phase}: per-point {per_point['phases'][phase]:.3f}s, "
+            f"production {production['phases'][phase]:.3f}s -> {ratio:.2f}x"
+        )
     print(
         f"end-to-end fit: per-point seed {per_point['fit_seconds']:.3f}s, "
-        f"grid {grid['fit_seconds']:.3f}s "
+        f"production {production['fit_seconds']:.3f}s "
         f"-> {fit_speedup:.2f}x (report: {OUT_PATH.name})"
     )
     if speedup < 1.0 - REGRESSION_TOLERANCE:
         print(
-            f"FAIL: batched clustering slower than per-point by more than "
+            f"FAIL: production clustering slower than per-point by more than "
             f"{REGRESSION_TOLERANCE:.0%}"
         )
         return 1
     if fit_speedup < FIT_SPEEDUP_GATE:
         print(
-            f"FAIL: grid-path fit reached {fit_speedup:.2f}x "
+            f"FAIL: production fit reached {fit_speedup:.2f}x "
             f"< required {FIT_SPEEDUP_GATE}x over the per-point seed path"
         )
         return 1

@@ -58,14 +58,14 @@ def fit(
 
     * ``"exact"`` (default) — μDBSCAN, exact DBSCAN semantics.  A
       direct alias of :func:`repro.core.mudbscan.mu_dbscan`; every
-      keyword it accepts (``metric``, ``batch_queries``,
-      ``block_size``, ``builder``, ``builder_block_size``, ``tracer``,
-      the ablation switches …) passes through unchanged.
+      keyword it accepts (``metric``, ``block_size``,
+      ``builder_block_size``, ``tracer``, the ablation switches …)
+      passes through unchanged.
     * ``"sampled"`` — DBSCAN++-style sampled candidate cores.  Engine
       options ``sample_fraction`` / ``selection`` / ``seed`` are
       extracted from the keywords; the shared knobs (``metric``,
-      ``block_size``, ``builder``, ``builder_block_size``,
-      ``aux_index``, ``max_entries``, ``tracer``) pass through.
+      ``block_size``, ``builder_block_size``, ``aux_index``,
+      ``max_entries``, ``tracer``) pass through.
     * ``"summary"`` — clustering over micro-cluster summaries; engine
       option ``link_factor``, same shared knobs.
 
@@ -119,8 +119,8 @@ def stream(
     exact after every update — identical (up to relabeling) to
     :func:`fit` on the live window.
 
-    Shares the batch vocabulary: ``metric``, ``builder`` /
-    ``builder_block_size``, ``max_entries`` pass through, plus the
+    Shares the batch vocabulary: ``metric``, ``builder_block_size``,
+    ``max_entries`` pass through, plus the
     streaming knobs ``window``, ``compact_every``,
     ``compact_dirty_fraction`` (docs/STREAMING.md).  Only
     ``engine="streaming"`` exists — the keyword is accepted for

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -116,28 +117,16 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def _mu_kwargs(args: argparse.Namespace) -> dict:
-    """Batched-engine knobs, honoured by the μDBSCAN algorithms only."""
+    """Block-size knobs, honoured by the μDBSCAN algorithms only."""
     return {
-        "batch_queries": not args.no_batch_queries,
         "block_size": args.block_size,
-        "builder": args.builder,
         "builder_block_size": args.builder_block_size,
     }
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """``engine=`` + engine options for the facade (run / fit only).
-
-    The approximate engines share the index knobs but not the exact
-    pipeline's ablation switches, so this builds their keyword set from
-    scratch instead of reusing :func:`_mu_kwargs`.
-    """
-    kwargs: dict = {
-        "engine": args.engine,
-        "block_size": args.block_size,
-        "builder": args.builder,
-        "builder_block_size": args.builder_block_size,
-    }
+    """``engine=`` + engine options for the facade (run / fit only)."""
+    kwargs: dict = {"engine": args.engine, **_mu_kwargs(args)}
     if args.sample_fraction is not None:
         if args.engine != "sampled":
             raise SystemExit("--sample-fraction requires --engine sampled")
@@ -308,22 +297,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     pts, eps, min_pts, name = _resolve_workload(args)
     with _observability(args, root_name="fit"):
         start = time.perf_counter()
-        if args.engine != "exact":
-            kwargs = _engine_kwargs(args)
-            kwargs.pop("engine")
-            model = fit_model(
-                pts, eps, min_pts,
-                engine=args.engine, metric=args.metric, **kwargs,
-            )
-        else:
-            model = fit_model(
-                pts,
-                eps,
-                min_pts,
-                metric=args.metric,
-                batch_queries=not args.no_batch_queries,
-                block_size=args.block_size,
-            )
+        model = fit_model(pts, eps, min_pts, metric=args.metric, **_engine_kwargs(args))
         wall = time.perf_counter() - start
     path = model.save(args.save)
     print(model.summary())
@@ -368,7 +342,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         min_pts,
         window=args.window,
         metric=args.metric,
-        builder=args.builder,
         builder_block_size=args.builder_block_size,
         compact_every=args.compact_every,
     )
@@ -753,7 +726,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"mudbscan {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # exact flag names only: a prefix such as ``--builder`` must not
+    # silently resolve to ``--builder-block-size``
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     sub.add_parser("datasets", help="list the registered paper-dataset stand-ins")
 
@@ -764,28 +743,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--min-pts", type=int, default=None)
         p.add_argument(
-            "--no-batch-queries",
-            action="store_true",
-            help="disable the MC-batched neighborhood engine (mu / mu-d only)",
-        )
-        p.add_argument(
             "--block-size",
             type=int,
             default=DEFAULT_BLOCK_SIZE,
             help="rows per batched distance block (memory/speed trade-off)",
         )
         p.add_argument(
-            "--builder",
-            choices=("grid", "scan"),
-            default="grid",
-            help="micro-cluster construction strategy (mu / mu-d only): "
-            "vectorized grid-hash sweep or reference per-point scan",
-        )
-        p.add_argument(
             "--builder-block-size",
             type=int,
             default=DEFAULT_BUILDER_BLOCK_SIZE,
-            help="scan rows per grid-builder sweep block",
+            help="rows per grid-builder sweep block",
         )
         p.add_argument(
             "--trace-out", metavar="PATH", default=None,

@@ -49,9 +49,7 @@ def run_mu_dbscan_state(
     filtration: bool = True,
     defer_2eps: bool = True,
     dynamic_wndq: bool = True,
-    batch_queries: bool = True,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    builder: str = "grid",
     builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
     max_entries: int = 64,
     metric: str | Metric = EUCLIDEAN,
@@ -60,7 +58,6 @@ def run_mu_dbscan_state(
     process_mask: np.ndarray | None = None,
     state_factory=MuDBSCANState,
     progress_cb=None,
-    _prebuilt_murtree: MuRTree | None = None,
 ) -> tuple[MuDBSCANState, PhaseTimer]:
     """Run μDBSCAN and return the raw state (flags + union-find).
 
@@ -71,10 +68,8 @@ def run_mu_dbscan_state(
     ``state_factory`` lets μDBSCAN-D substitute its ownership-aware
     state subclass.
 
-    ``batch_queries`` / ``block_size`` select the MC-batched
-    neighborhood engine for Algorithms 6 and 8 (state-for-state and
-    counter-for-counter equivalent to the per-point path; see
-    ``repro.core.remaining``).
+    ``block_size`` bounds the distance blocks of Algorithm 6's
+    MC-batched neighborhood engine (see ``repro.core.remaining``).
 
     ``progress_cb(consumed, eligible)`` is forwarded to Algorithm 6's
     consumption loop — distributed ranks hang their monitoring
@@ -89,34 +84,24 @@ def run_mu_dbscan_state(
     counters = counters if counters is not None else Counters()
     timers = timers if timers is not None else PhaseTimer()
 
-    if _prebuilt_murtree is not None:
-        # streaming mode: the index was maintained incrementally and the
-        # construction cost already paid at insert time
-        murtree = _prebuilt_murtree
-        with timers.phase("finding_reachable_groups"), maybe_span(
-            "finding_reachable_groups"
-        ) as span, maybe_profile("finding_reachable_groups", span=span):
-            murtree.compute_reachability()  # no-op when caches are warm
-    else:
-        with timers.phase("tree_construction"), maybe_span(
-            "tree_construction"
-        ) as span, maybe_profile("tree_construction", span=span):
-            murtree = MuRTree(
-                points,
-                params.eps,
-                aux_index=aux_index,
-                filtration=filtration,
-                defer_2eps=defer_2eps,
-                max_entries=max_entries,
-                counters=counters,
-                metric=metric,
-                builder=builder,
-                builder_block_size=builder_block_size,
-            )
-        with timers.phase("finding_reachable_groups"), maybe_span(
-            "finding_reachable_groups"
-        ) as span, maybe_profile("finding_reachable_groups", span=span):
-            murtree.compute_reachability()
+    with timers.phase("tree_construction"), maybe_span(
+        "tree_construction"
+    ) as span, maybe_profile("tree_construction", span=span):
+        murtree = MuRTree(
+            points,
+            params.eps,
+            aux_index=aux_index,
+            filtration=filtration,
+            defer_2eps=defer_2eps,
+            max_entries=max_entries,
+            counters=counters,
+            metric=metric,
+            builder_block_size=builder_block_size,
+        )
+    with timers.phase("finding_reachable_groups"), maybe_span(
+        "finding_reachable_groups"
+    ) as span, maybe_profile("finding_reachable_groups", span=span):
+        murtree.compute_reachability()
 
     state = state_factory(murtree, params, counters)
     with timers.phase("clustering"), maybe_span("clustering") as span, maybe_profile(
@@ -127,7 +112,6 @@ def run_mu_dbscan_state(
             state,
             dynamic_wndq=dynamic_wndq,
             process_mask=process_mask,
-            batch_queries=batch_queries,
             block_size=block_size,
             progress_cb=progress_cb,
         )
@@ -135,7 +119,7 @@ def run_mu_dbscan_state(
         "post_processing"
     ) as span, maybe_profile("post_processing", span=span):
         postprocess_core(state)
-        postprocess_noise(state, batch_queries=batch_queries)
+        postprocess_noise(state)
 
     eligible = state.n if process_mask is None else int(np.count_nonzero(process_mask))
     counters.queries_saved += eligible - counters.queries_run
@@ -152,9 +136,7 @@ def mu_dbscan(
     filtration: bool = True,
     defer_2eps: bool = True,
     dynamic_wndq: bool = True,
-    batch_queries: bool = True,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    builder: str = "grid",
     builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
     max_entries: int = 64,
     metric: str | Metric = EUCLIDEAN,
@@ -174,19 +156,15 @@ def mu_dbscan(
     aux_index, filtration, defer_2eps, dynamic_wndq, max_entries:
         Design knobs; the defaults reproduce the paper's algorithm, the
         alternatives are the DESIGN.md §5 ablations.
-    builder, builder_block_size:
-        Micro-cluster construction strategy — ``"grid"`` (default): the
-        vectorized grid-hash block sweep plus batched reachability and a
-        single STR bulk load of the first-level tree; ``"scan"``: the
-        reference per-point loop with dynamic inserts.  Results and work
-        counters are bit-identical (see docs/ALGORITHM.md, "Grid-hash
-        builder"); only ``tree_construction`` wall time changes.
-    batch_queries, block_size:
-        MC-batched neighborhood engine for the clustering phase — one
-        vectorized distance block per micro-cluster instead of one
-        Python query per point (semantics and counters unchanged;
-        ``cached`` aux index only, other modes fall back per point).
-        ``block_size`` caps the rows per transient distance matrix.
+    builder_block_size:
+        Rows per sweep block of the vectorized grid-hash builder
+        (Algorithm 3; docs/ALGORITHM.md, "Grid-hash builder").  Results
+        and work counters do not depend on it.
+    block_size:
+        Rows per transient distance matrix of the MC-batched
+        neighborhood engine in the clustering phase (``cached`` aux
+        index; docs/TUNING.md).  Results and work counters do not
+        depend on it.
     timers:
         Optional externally-constructed :class:`PhaseTimer` — pass one
         built on ``time.thread_time`` to make a sequential run directly
@@ -232,9 +210,7 @@ def mu_dbscan(
             filtration=filtration,
             defer_2eps=defer_2eps,
             dynamic_wndq=dynamic_wndq,
-            batch_queries=batch_queries,
             block_size=block_size,
-            builder=builder,
             builder_block_size=builder_block_size,
             max_entries=max_entries,
             metric=metric,
@@ -280,8 +256,7 @@ class MuDBSCAN:
     ``"sampled"``, ``"summary"`` — docs/ENGINES.md); ``engine_options``
     carries the engine's own knobs (e.g. ``{"sample_fraction": 0.3}``).
     The ablation switches (``filtration``, ``defer_2eps``,
-    ``dynamic_wndq``, ``batch_queries``) only apply to the exact
-    engine's pipeline.
+    ``dynamic_wndq``) only apply to the exact engine's pipeline.
     """
 
     #: constructor keywords in declaration order (get_params/__repr__)
@@ -292,9 +267,7 @@ class MuDBSCAN:
         "filtration",
         "defer_2eps",
         "dynamic_wndq",
-        "batch_queries",
         "block_size",
-        "builder",
         "builder_block_size",
         "max_entries",
         "metric",
@@ -311,9 +284,7 @@ class MuDBSCAN:
         filtration: bool = True,
         defer_2eps: bool = True,
         dynamic_wndq: bool = True,
-        batch_queries: bool = True,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        builder: str = "grid",
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         max_entries: int = 64,
         metric: str | Metric = EUCLIDEAN,
@@ -326,9 +297,7 @@ class MuDBSCAN:
         self.filtration = filtration
         self.defer_2eps = defer_2eps
         self.dynamic_wndq = dynamic_wndq
-        self.batch_queries = batch_queries
         self.block_size = block_size
-        self.builder = builder
         self.builder_block_size = builder_block_size
         self.max_entries = max_entries
         self.metric = metric
@@ -384,7 +353,6 @@ class MuDBSCAN:
                 self.params.min_pts,
                 aux_index=self.aux_index,
                 block_size=self.block_size,
-                builder=self.builder,
                 builder_block_size=self.builder_block_size,
                 max_entries=self.max_entries,
                 metric=self.metric,
@@ -398,9 +366,7 @@ class MuDBSCAN:
             filtration=self.filtration,
             defer_2eps=self.defer_2eps,
             dynamic_wndq=self.dynamic_wndq,
-            batch_queries=self.batch_queries,
             block_size=self.block_size,
-            builder=self.builder,
             builder_block_size=self.builder_block_size,
             max_entries=self.max_entries,
             metric=self.metric,

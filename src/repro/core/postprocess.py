@@ -167,37 +167,26 @@ def postprocess_core(state: MuDBSCANState) -> None:
             state.union(row, int(q))
 
 
-def postprocess_noise(state: MuDBSCANState, *, batch_queries: bool = True) -> None:
+def postprocess_noise(state: MuDBSCANState) -> None:
     """Run Algorithm 8 over the noise list (rescue mislabelled borders).
 
     The stored neighborhoods are re-checked against the *final* core
-    flags.  ``batch_queries=True`` concatenates every pending row's
-    stored list and performs the core-flag gather in one vectorized
-    pass; only rows that actually own a core neighbor pay Python-level
-    work.  The rescues are independent of each other — a rescue union
-    touches the rescued row and an (always core, hence never
-    noise-listed) neighbor, so no rescue can change another pending
-    row's skip condition — which makes the upfront skip mask exactly
-    the mask the sequential loop evaluates row by row.
+    flags: every pending row's stored list is concatenated and the
+    core-flag gather runs in one vectorized pass; only rows that
+    actually own a core neighbor pay Python-level work.  A row that is
+    assigned or core by now was already rescued (a core point
+    processed after it found it in its own query and merged it), and a
+    second merge could connect two *different* clusters through a
+    non-core point, so it is skipped.  The rescues are independent of
+    each other — a rescue union touches the rescued row and an (always
+    core, hence never noise-listed) neighbor, so no rescue can change
+    another pending row's skip condition — which makes the upfront skip
+    mask exactly the mask a row-by-row loop evaluates.
     """
     if not state.noise_nbrs:
         return
-    if not batch_queries:
-        for row, nbrs in state.noise_nbrs.items():
-            if state.assigned[row] or state.core[row]:
-                # already rescued: a core point processed after this one
-                # was noise-listed found it in its own query and merged
-                # it.  A second merge here could connect two *different*
-                # clusters through this non-core point, which is not a
-                # density connection — skip.
-                continue
-            core_nbrs = nbrs[state.core[nbrs]]
-            if core_nbrs.size:
-                state.union(int(core_nbrs[0]), row)
-        return
-
-    # insertion order preserved: unions happen in the same order as the
-    # sequential loop, keeping border-claim determinism bit-for-bit
+    # insertion order preserved: unions happen in the same order as a
+    # row-by-row loop, keeping border-claim determinism bit-for-bit
     rows = np.fromiter(state.noise_nbrs.keys(), dtype=np.int64, count=len(state.noise_nbrs))
     live = rows[~state.assigned[rows] & ~state.core[rows]]
     if live.size == 0:

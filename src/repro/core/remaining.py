@@ -22,9 +22,8 @@ already found non-core has ``|N_eps(q)| < MinPts``, while
 ``q ∈ N_{eps/2}(p)`` implies ``N_eps(q) ⊇ N_{eps/2}(p)``, so the rule's
 precondition cannot hold for it.
 
-Batched execution (``batch_queries=True``, the default in ``cached``
-mode)
-----------------------------------------------------------------------
+Batched execution (``cached`` mode)
+-----------------------------------
 Every member of a micro-cluster shares the MC's reach block (Lemma 3),
 so issuing one Python-level :meth:`MuRTree.query_ball` per point
 re-gathers the same candidates ``|MC|`` times.  The batched path splits
@@ -120,7 +119,6 @@ def process_remaining_points(
     dynamic_wndq: bool = True,
     process_mask: np.ndarray | None = None,
     *,
-    batch_queries: bool = True,
     block_size: int = DEFAULT_BLOCK_SIZE,
     progress_cb=None,
 ) -> None:
@@ -133,10 +131,11 @@ def process_remaining_points(
     queries only *owned* points (halo points exist to complete owned
     neighborhoods; their own verdicts belong to their owner rank).
 
-    ``batch_queries`` selects the batched neighborhood engine (see
-    module docstring); it requires the ``cached`` aux index, where the
-    reach block is shared MC-wide — other modes fall back to the
-    per-point path.  ``block_size`` bounds the transient distance
+    The ``cached`` aux index, whose reach block is shared MC-wide, runs
+    the batched neighborhood engine (see module docstring).  The
+    ``flat`` and ``rtree`` modes filter reachable MCs per point, so
+    they run the per-point loop, as :mod:`repro.validation.reference`
+    does in every mode.  ``block_size`` bounds the transient distance
     matrix of a dense sub-block to ``block_size x |reach block|``
     doubles; flat waves are bounded by ``_WAVE_PAIRS`` instead.
 
@@ -144,7 +143,7 @@ def process_remaining_points(
     ``_PROGRESS_EVERY`` consumed rows (and once at the end) — the hook
     distributed ranks hang their monitoring heartbeats on.
     """
-    if batch_queries and state.murtree.aux_index == "cached":
+    if state.murtree.aux_index == "cached":
         _process_batched(state, dynamic_wndq, process_mask, block_size, progress_cb)
     else:
         _process_per_point(state, dynamic_wndq, process_mask, progress_cb)
@@ -156,7 +155,7 @@ def _process_per_point(
     process_mask: np.ndarray | None,
     progress_cb=None,
 ) -> None:
-    """The reference one-query-per-point path (paper Algorithm 6)."""
+    """One query per point, as in the paper's Algorithm 6."""
     params = state.params
     min_pts = params.min_pts
     counters = state.counters

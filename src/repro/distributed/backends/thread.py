@@ -179,8 +179,6 @@ def run_mpi(
 ) -> list[Any]:
     """Execute ``fn(comm, *args, **kwargs)`` on ``n_ranks`` simulated ranks.
 
-    The historical ``simmpi`` entry point, kept as the convenience form
-    of :func:`launch_threads` (and re-exported by the
-    ``repro.distributed.simmpi`` compatibility shim).
+    The convenience form of :func:`launch_threads`.
     """
     return launch_threads(n_ranks, fn, args, kwargs)

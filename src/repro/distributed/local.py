@@ -32,8 +32,7 @@ from repro.core.state import MuDBSCANState
 from repro.distributed.protocol import LocalFragment
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
-from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
+from repro.microcluster.murtree import MuRTree
 
 __all__ = ["DistributedMuDBSCANState", "run_local_mu_dbscan"]
 
@@ -124,31 +123,14 @@ def _extract_intra_edges_loop(state: DistributedMuDBSCANState) -> np.ndarray:
     return np.asarray(edges, dtype=np.int64)
 
 
-def run_local_mu_dbscan(
+def _local_inputs(
     owned_points: np.ndarray,
     owned_gids: np.ndarray,
     halo_points: np.ndarray,
     halo_gids: np.ndarray,
-    params: DBSCANParams,
-    *,
-    aux_index: str = "cached",
-    batch_queries: bool = True,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    builder: str = "grid",
-    builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
-    timers: PhaseTimer | None = None,
-    **mu_kwargs,
-) -> LocalFragment:
-    """Run μDBSCAN locally and package the rank's fragment.
-
-    ``batch_queries`` / ``block_size`` select the MC-batched
-    neighborhood engine for the rank's owned rows (``process_mask``
-    composes with batching: the per-MC blocks only cover owned members,
-    halo points stay query-free).  ``builder`` / ``builder_block_size``
-    pick the micro-cluster construction strategy per rank — the default
-    grid-hash sweep attacks each rank's ``tree_construction`` phase, the
-    dominant local cost (Table III), with bit-identical results.
-    """
+):
+    """The local point set (owned rows first, then the halo), its
+    ownership mask and the state factory of a rank's run."""
     n_owned = owned_points.shape[0]
     if halo_points.shape[0]:
         all_points = np.vstack([owned_points, halo_points])
@@ -161,28 +143,18 @@ def run_local_mu_dbscan(
     owned_mask = np.zeros(all_points.shape[0], dtype=bool)
     owned_mask[:n_owned] = True
 
-    counters = Counters()
-
     def factory(murtree: MuRTree, p: DBSCANParams, c: Counters) -> MuDBSCANState:
         return DistributedMuDBSCANState(murtree, p, c, owned_mask, all_gids)
 
-    state, timers = run_mu_dbscan_state(
-        all_points,
-        params,
-        aux_index=aux_index,
-        batch_queries=batch_queries,
-        block_size=block_size,
-        builder=builder,
-        builder_block_size=builder_block_size,
-        counters=counters,
-        timers=timers,
-        process_mask=owned_mask,
-        state_factory=factory,
-        **mu_kwargs,
-    )
-    assert isinstance(state, DistributedMuDBSCANState)
-    _emit_noise_rescue_pairs(state)
+    return all_points, owned_mask, factory
 
+
+def _package_fragment(
+    state: DistributedMuDBSCANState, timers: PhaseTimer
+) -> LocalFragment:
+    """A finished local run as the rank's fragment for the global merge."""
+    _emit_noise_rescue_pairs(state)
+    n_owned = int(np.count_nonzero(state.owned))
     # duplicate pairs are common (Algorithm 6 and 7 both touch the same
     # owned-halo edges); dedupe keeping first occurrence so border-claim
     # order stays deterministic while the exchanged volume shrinks
@@ -191,17 +163,50 @@ def run_local_mu_dbscan(
     else:
         cross = np.empty((0, 2), dtype=np.int64)
     return LocalFragment(
-        owned_gids=all_gids[:n_owned],
+        owned_gids=state.gids[:n_owned],
         core=state.core[:n_owned].copy(),
         assigned=state.assigned[:n_owned].copy(),
         intra_edges=_extract_intra_edges(state),
         cross_pairs=cross,
-        counters=counters,
+        counters=state.counters,
         stats={
             "phase_seconds": timers.as_dict(),
             "n_micro_clusters": state.murtree.n_micro_clusters,
-            "n_halo": int(halo_points.shape[0]),
-            "n_owned": int(n_owned),
+            "n_halo": state.n - n_owned,
+            "n_owned": n_owned,
             "n_wndq_core": len(state.wndq_corelist),
         },
     )
+
+
+def run_local_mu_dbscan(
+    owned_points: np.ndarray,
+    owned_gids: np.ndarray,
+    halo_points: np.ndarray,
+    halo_gids: np.ndarray,
+    params: DBSCANParams,
+    *,
+    timers: PhaseTimer | None = None,
+    **mu_kwargs,
+) -> LocalFragment:
+    """Run μDBSCAN locally and package the rank's fragment.
+
+    ``mu_kwargs`` (``aux_index``, ``block_size``, ``builder_block_size``
+    …) pass through to :func:`~repro.core.mudbscan.run_mu_dbscan_state`.
+    Algorithm 6 queries the rank's owned rows only (``process_mask``
+    composes with the MC-batched engine: its blocks cover owned
+    members, halo points stay query-free).
+    """
+    all_points, owned_mask, factory = _local_inputs(
+        owned_points, owned_gids, halo_points, halo_gids
+    )
+    state, timers = run_mu_dbscan_state(
+        all_points,
+        params,
+        timers=timers,
+        process_mask=owned_mask,
+        state_factory=factory,
+        **mu_kwargs,
+    )
+    assert isinstance(state, DistributedMuDBSCANState)
+    return _package_fragment(state, timers)

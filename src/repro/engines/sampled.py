@@ -180,7 +180,6 @@ class SampledCoreEngine(ClusteringEngine):
         aux_index: str = "cached",
         metric: str | Metric = EUCLIDEAN,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        builder: str = "grid",
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         max_entries: int = 64,
     ) -> EngineFitState:
@@ -193,7 +192,6 @@ class SampledCoreEngine(ClusteringEngine):
                 max_entries=max_entries,
                 counters=counters,
                 metric=metric,
-                builder=builder,
                 builder_block_size=builder_block_size,
             )
         with timers.phase("finding_reachable_groups"), maybe_span(

@@ -114,7 +114,6 @@ class SummaryEngine(ClusteringEngine):
         aux_index: str = "cached",
         metric: str | Metric = EUCLIDEAN,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        builder: str = "grid",
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         max_entries: int = 64,
     ) -> EngineFitState:
@@ -127,7 +126,6 @@ class SummaryEngine(ClusteringEngine):
                 max_entries=max_entries,
                 counters=counters,
                 metric=metric,
-                builder=builder,
                 builder_block_size=builder_block_size,
             )
 

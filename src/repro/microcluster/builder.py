@@ -22,21 +22,18 @@ The first-level R-tree stores each MC as the fixed box ``center ± eps``:
 every member is strictly within ``eps`` of the center, so the box bounds
 the MC forever and never needs widening on insertion.
 
-Two builders implement the same semantics:
-
-* ``builder="scan"`` — the reference per-point loop: one R-tree probe
-  and one small distance block per point, dynamic ``tree.insert`` per
-  created MC.
-* ``builder="grid"`` (default) — the batched sweep documented in
-  docs/ALGORITHM.md ("Grid-hash builder"): points are hashed into cells
-  just wider than a candidate search reaches; per row-order block, a
-  join over adjacent cells lists each point's candidate centers, flat
-  pair chunks replay the tree's leaf test and the scan's distances, and
-  an exact fixup walk replays intra-block MC creations in scan order
-  against the block rows of adjacent cells.  The first-level tree is
-  STR bulk-loaded once.  Labels, ``point_mc``, MC membership order and
-  every counter are **bit-identical** to the scan builder — the parity
-  suite in ``tests/test_builder.py`` pins it.
+The sweep is vectorized (docs/ALGORITHM.md, "Grid-hash builder"):
+points are hashed into cells just wider than a candidate search
+reaches; per row-order block, a join over adjacent cells lists each
+point's candidate centers, flat pair chunks replay the tree's leaf test
+and the scan's distances, and an exact fixup walk replays intra-block
+MC creations in scan order against the block rows of adjacent cells.
+The first-level tree is STR bulk-loaded once.  Labels, ``point_mc``,
+MC membership order and every counter are **bit-identical** to the
+paper's per-point scan (one R-tree probe per point, a dynamic
+``tree.insert`` per created MC), which
+:mod:`repro.validation.reference` keeps as the comparison reference;
+the parity suite in ``tests/test_builder.py`` pins it.
 """
 
 from __future__ import annotations
@@ -52,36 +49,12 @@ from repro.microcluster.microcluster import MicroCluster
 
 __all__ = ["build_micro_clusters", "DEFAULT_BUILDER_BLOCK_SIZE"]
 
-#: rows per vectorized sweep block of the grid builder
+#: rows per vectorized sweep block
 DEFAULT_BUILDER_BLOCK_SIZE = 4096
 
-#: (row, center) pairs per chunk of whole rows in the grid builder's
-#: gather — keeps each ``(pairs, d)`` float64 temporary small
+#: (row, center) pairs per chunk of whole rows in the builder's gather
+#: — keeps each ``(pairs, d)`` float64 temporary small
 _PAIR_BUDGET = 4096
-
-
-class _CenterArray:
-    """Growing preallocated ``(m, d)`` array of MC centers.
-
-    Algorithm 3 needs the centers of every candidate MC at every point;
-    restacking them per point from the ``MicroCluster`` objects costs a
-    Python-level loop each time, while one amortised-doubling buffer
-    answers with a single fancy index."""
-
-    def __init__(self, dim: int) -> None:
-        self._buf = np.empty((64, dim), dtype=np.float64)
-        self._m = 0
-
-    def append(self, center: np.ndarray) -> None:
-        if self._m == self._buf.shape[0]:
-            grown = np.empty((2 * self._m, self._buf.shape[1]), dtype=np.float64)
-            grown[: self._m] = self._buf
-            self._buf = grown
-        self._buf[self._m] = center
-        self._m += 1
-
-    def take(self, ids: np.ndarray) -> np.ndarray:
-        return self._buf[ids]
 
 
 def build_micro_clusters(
@@ -92,7 +65,6 @@ def build_micro_clusters(
     counters: Counters | None = None,
     defer_2eps: bool = True,
     metric: Metric = EUCLIDEAN,
-    builder: str = "grid",
     block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
 ) -> tuple[list[MicroCluster], RTree, np.ndarray]:
     """Run Algorithm 3 over ``points``.
@@ -109,11 +81,8 @@ def build_micro_clusters(
         The 2ε ``unassignedList`` rule.  ``False`` disables deferral
         (ablation 1 in DESIGN.md §5): every unassignable point
         immediately founds a new MC.
-    builder:
-        ``"grid"`` (default) — the vectorized block sweep; ``"scan"`` —
-        the reference per-point loop.  Identical results either way.
     block_size:
-        Grid builder only: rows per vectorized sweep block.
+        Rows per vectorized sweep block.
 
     Returns
     -------
@@ -127,133 +96,9 @@ def build_micro_clusters(
         raise ValueError(f"points must be (n, d), got shape {pts.shape}")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if builder not in ("scan", "grid"):
-        raise ValueError(f"builder must be 'scan' or 'grid', got {builder!r}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     counters = counters if counters is not None else Counters()
-    if builder == "scan":
-        return _build_scan(
-            pts,
-            eps,
-            max_entries=max_entries,
-            counters=counters,
-            defer_2eps=defer_2eps,
-            metric=metric,
-        )
-    return _build_grid(
-        pts,
-        eps,
-        max_entries=max_entries,
-        counters=counters,
-        defer_2eps=defer_2eps,
-        metric=metric,
-        block_size=block_size,
-    )
-
-
-# ---------------------------------------------------------------------------
-# reference per-point builder
-
-
-def _build_scan(
-    pts: np.ndarray,
-    eps: float,
-    *,
-    max_entries: int,
-    counters: Counters,
-    defer_2eps: bool,
-    metric: Metric,
-) -> tuple[list[MicroCluster], RTree, np.ndarray]:
-    n, dim = pts.shape
-    # candidate searches go through the (Euclidean) R-tree; a metric
-    # ball fits in a Euclidean ball scaled by this factor
-    cover = metric.l2_cover_factor(dim)
-
-    tree = RTree(dim, max_entries=max_entries, counters=counters)
-    mcs: list[MicroCluster] = []
-    centers = _CenterArray(dim)
-    point_mc = np.full(n, -1, dtype=np.int64)
-    unassigned: list[int] = []
-    eps_raw = metric.threshold(eps)
-    two_eps_raw = metric.threshold(2.0 * eps)
-    # one candidate sweep at the wider radius serves both the ε-join
-    # test and the 2ε-deferral test, and one distance pass over the
-    # candidates' centers answers both
-    search_radius = (2.0 * eps if defer_2eps else eps) * cover
-
-    def create_mc(row: int) -> int:
-        mc_id = len(mcs)
-        mc = MicroCluster(mc_id, row, pts[row])
-        mcs.append(mc)
-        centers.append(pts[row])
-        tree.insert(mc_id, pts[row] - eps, pts[row] + eps)
-        point_mc[row] = mc_id
-        counters.micro_clusters += 1
-        return mc_id
-
-    # ---- pass 1: scan, join / defer / create --------------------------
-    for row in range(n):
-        p = pts[row]
-        if not mcs:
-            create_mc(row)
-            continue
-        candidates = tree.query_ball_candidates(p, search_radius)
-        if candidates:
-            # ascending ids make argmin's tie-break (nearest center,
-            # lowest mc_id on exact raw ties) independent of tree layout
-            # — the grid builder resolves ties the same way
-            candidates.sort()
-            cand = np.asarray(candidates, dtype=np.int64)
-            counters.dist_calcs += cand.size
-            raw = metric.raw_to_point(centers.take(cand), p)
-            best = int(np.argmin(raw))
-            if raw[best] < eps_raw:
-                joined = candidates[best]  # nearest center within ε
-                mcs[joined].add_member(row)
-                point_mc[row] = joined
-                continue
-            if defer_2eps and raw[best] < two_eps_raw:
-                unassigned.append(row)
-                counters.deferred_points += 1
-                continue
-        create_mc(row)
-
-    # ---- pass 2: place deferred points --------------------------------
-    for row in unassigned:
-        p = pts[row]
-        candidates = tree.query_ball_candidates(p, eps * cover)
-        if candidates:
-            candidates.sort()
-            cand = np.asarray(candidates, dtype=np.int64)
-            counters.dist_calcs += cand.size
-            raw = metric.raw_to_point(centers.take(cand), p)
-            best = int(np.argmin(raw))
-            if raw[best] < eps_raw:
-                mcs[candidates[best]].add_member(row)
-                point_mc[row] = candidates[best]
-                continue
-        create_mc(row)
-
-    for mc in mcs:
-        mc.freeze(pts, eps, metric=metric)
-    return mcs, tree, point_mc
-
-
-# ---------------------------------------------------------------------------
-# vectorized grid-hash builder
-
-
-def _build_grid(
-    pts: np.ndarray,
-    eps: float,
-    *,
-    max_entries: int,
-    counters: Counters,
-    defer_2eps: bool,
-    metric: Metric,
-    block_size: int,
-) -> tuple[list[MicroCluster], RTree, np.ndarray]:
     n, dim = pts.shape
     cover = metric.l2_cover_factor(dim)
     eps_raw = metric.threshold(eps)
@@ -328,7 +173,7 @@ def _build_grid(
             if hit.size == 0:
                 continue
             rows, ids = rows[hit], ids[hit]
-            # the scan's raw_to_point(centers, p) pair by pair: center - p
+            # the reference scan's raw_to_point(centers, p) pair by pair: center - p
             # is formed first, then reduced exactly as there
             raw = metric.raw_to_point(q[hit] - p[hit], origin)
             # segment reductions over each row's run of hits

@@ -1,14 +1,16 @@
 """The two-level μR-tree (paper Fig. 1) and its restricted ε-queries.
 
-Level 1 is an R-tree over micro-clusters (boxes ``center ± eps``);
-level 2 holds, per MC, either an AuxR-tree over the MC's points
-(``aux_index="rtree"``, the paper's structure) or a contiguous
-coordinate block scanned vectorized (``aux_index="flat"``, the default
-here — with the paper's ``r`` in the tens-to-hundreds a single numpy
-distance pass over an MC beats a Python-level tree walk, and the
-*search-space* reduction, which is what the design contributes, is
-identical).  Both modes return exactly the same neighborhoods; the test
-suite asserts it.
+Level 1 is an R-tree over micro-clusters (boxes ``center ± eps``).
+Level 2 answers ε-queries over each MC's reachable MCs in one of three
+``aux_index`` modes: ``"cached"`` (the default) scans the MC's reach
+block, the concatenated members of its reachable MCs, in one vectorized
+pass; ``"flat"`` scans each reachable MC's contiguous coordinate block
+after per-point MBR filtration; ``"rtree"`` walks a per-MC AuxR-tree,
+the paper's structure.  With the paper's ``r`` in the tens to hundreds,
+a numpy distance pass over a block beats a Python-level tree walk, and
+the *search-space* reduction, which is what the design contributes, is
+the same.  All three modes return exactly the same neighborhoods; the
+test suite asserts it.
 
 A neighborhood query for point ``x ∈ MC(p)`` (paper §IV-B2):
 
@@ -30,7 +32,7 @@ from repro.index.rtree import RTree, PointRTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE, build_micro_clusters
 from repro.microcluster.microcluster import MicroCluster
-from repro.microcluster.reachability import compute_reachable, compute_reachable_batched
+from repro.microcluster.reachability import compute_reachable
 
 __all__ = ["MuRTree", "BlockQueryResult", "DEFAULT_BLOCK_SIZE", "DENSE_MIN_CANDIDATES"]
 
@@ -58,6 +60,18 @@ def _flatten(parts: list[np.ndarray], dtype) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts)
+
+
+def _check_aux_index(aux_index: str, metric: Metric) -> None:
+    if aux_index not in ("cached", "flat", "rtree"):
+        raise ValueError(
+            f"aux_index must be 'cached', 'flat' or 'rtree', got {aux_index!r}"
+        )
+    if aux_index == "rtree" and metric is not EUCLIDEAN:
+        raise ValueError(
+            "aux_index='rtree' supports the euclidean metric only; "
+            "use 'cached' or 'flat' for other metrics"
+        )
 
 
 class BlockQueryResult:
@@ -169,15 +183,8 @@ class MuRTree:
         packing is both faster and tighter.  ``False`` exercises the
         dynamic insert path (and is what the index microbenchmark
         compares against).
-    builder:
-        Micro-cluster construction strategy: ``"grid"`` (default, the
-        vectorized grid-hash block sweep) or ``"scan"`` (the reference
-        per-point loop).  Bit-identical results either way; ``"grid"``
-        also switches reachability (Algorithm 5) from one level-1 tree
-        probe per MC to the grid join of
-        :func:`~repro.microcluster.reachability.compute_reachable_batched`.
     builder_block_size:
-        Grid builder only: scan rows per vectorized sweep block.
+        Rows per vectorized sweep block of Algorithm 3.
     """
 
     def __init__(
@@ -192,19 +199,10 @@ class MuRTree:
         counters: Counters | None = None,
         metric: str | Metric = EUCLIDEAN,
         aux_bulk: bool = True,
-        builder: str = "grid",
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
     ) -> None:
-        if aux_index not in ("cached", "flat", "rtree"):
-            raise ValueError(
-                f"aux_index must be 'cached', 'flat' or 'rtree', got {aux_index!r}"
-            )
         self.metric = get_metric(metric)
-        if aux_index == "rtree" and self.metric is not EUCLIDEAN:
-            raise ValueError(
-                "aux_index='rtree' supports the euclidean metric only; "
-                "use 'cached' or 'flat' for other metrics"
-            )
+        _check_aux_index(aux_index, self.metric)
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise ValueError(f"points must be (n, d), got shape {self.points.shape}")
@@ -215,7 +213,6 @@ class MuRTree:
         self.aux_index = aux_index
         self.filtration = filtration
         self.counters = counters if counters is not None else Counters()
-        self.builder = builder
 
         self.mcs: list[MicroCluster]
         self.level1: RTree
@@ -227,7 +224,6 @@ class MuRTree:
             counters=self.counters,
             defer_2eps=defer_2eps,
             metric=self.metric,
-            builder=builder,
             block_size=builder_block_size,
         )
         if aux_index == "rtree":
@@ -256,34 +252,25 @@ class MuRTree:
         filtration: bool = True,
         counters: Counters | None = None,
         metric: str | Metric = EUCLIDEAN,
-        builder: str = "scan",
     ) -> "MuRTree":
-        """Wrap an externally-maintained micro-cluster structure.
+        """Wrap micro-clusters and a first-level tree built elsewhere.
 
-        The streaming extension (``repro.streaming``) maintains MCs and
-        the first-level tree across insertions; this constructor reuses
-        them instead of re-running Algorithm 3 — tree construction is
-        the dominant phase (Table III), so amortising it is the whole
-        point of the incremental mode.  Every MC must already be frozen.
-        ``builder`` picks Algorithm 5's path as in the constructor:
-        ``"scan"`` probes the caller's level-1 tree once per MC (the
-        streaming extension maintains that tree), ``"grid"`` runs the
-        grid join over the centers.
+        A loaded model restores them from its artifact instead of
+        re-running Algorithm 3 (``repro.serving.model``), and the
+        reference pipeline builds them with the paper's per-point scan
+        (``repro.validation.reference``).  Every MC must already be
+        frozen.
         """
         self = cls.__new__(cls)
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if aux_index not in ("cached", "flat", "rtree"):
-            raise ValueError(
-                f"aux_index must be 'cached', 'flat' or 'rtree', got {aux_index!r}"
-            )
+        self.metric = get_metric(metric)
+        _check_aux_index(aux_index, self.metric)
         self.eps = float(eps)
         self.aux_index = aux_index
         self.filtration = filtration
         self.counters = counters if counters is not None else Counters()
-        self.metric = get_metric(metric)
-        self.builder = builder
         self.mcs = mcs
         self.level1 = level1
         self.point_mc = np.asarray(point_mc, dtype=np.int64)
@@ -295,8 +282,8 @@ class MuRTree:
                     mc.aux_tree = PointRTree(
                         mc.member_points, ids=mc.member_rows, counters=self.counters
                     )
-        # reach lists may be pre-populated by the caller (cache reuse);
-        # compute_reachability() fills whatever is missing
+        # reach lists may be pre-populated by the caller;
+        # compute_reachability() computes them only when some are missing
         self._reachable_done = all(mc.reach_ids is not None for mc in mcs)
         self.reach_flat = None
         self.reach_offsets = None
@@ -330,19 +317,12 @@ class MuRTree:
         answers per MC, get their coordinates (``mc.reach_points``)
         copied here, all in one gather; any other block is copied on
         first read (by :meth:`query_ball` or :meth:`query_ball_block`),
-        so the small blocks of sparse data hold no copy.  On a prebuilt
-        tree whose reach lists are already set, only this layout
-        runs."""
-        if not self._reachable_done:
-            if self.builder == "grid":
-                compute_reachable_batched(
-                    self.mcs, self.eps, self.counters, metric=self.metric
-                )
-            else:
-                compute_reachable(
-                    self.mcs, self.level1, self.eps, self.counters, metric=self.metric
-                )
-            self._reachable_done = True
+        so the small blocks of sparse data hold no copy.  When every
+        MC's reach list is already set (a prebuilt tree's, or the
+        reference pipeline's tree probe), only this layout runs."""
+        if not self._reachable_done and any(mc.reach_ids is None for mc in self.mcs):
+            compute_reachable(self.mcs, self.eps, self.counters, metric=self.metric)
+        self._reachable_done = True
         if self.aux_index == "cached" and self.reach_offsets is None:
             self._lay_out_reach_blocks()
 

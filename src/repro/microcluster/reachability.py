@@ -16,11 +16,10 @@ import numpy as np
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.regions import sphere_intersects_rects_block
 from repro.index.grid import hash_cells, neighbor_cells, neighbor_members
-from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MicroCluster
 
-__all__ = ["compute_reachable", "compute_reachable_batched"]
+__all__ = ["compute_reachable"]
 
 #: element budget (rows x candidates x d) of one distance block of the
 #: grid join — bounds each float64 temporary to 4 MiB
@@ -29,48 +28,15 @@ _JOIN_TEMP_ELEMS = 1 << 19
 
 def compute_reachable(
     mcs: list[MicroCluster],
-    tree: RTree,
     eps: float,
     counters: Counters | None = None,
     metric: Metric = EUCLIDEAN,
 ) -> None:
     """Populate ``mc.reach_ids`` for every MC (ids sorted ascending).
 
-    Uses the first-level tree to shortlist candidate MCs whose
-    ``center ± eps`` box touches the ball ``B(center, 3 eps)``, then the
-    exact ``<= 3 eps`` center-distance test.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    counters = counters if counters is not None else Counters()
-    limit_raw = metric.threshold(3.0 * eps)
-    for mc in mcs:
-        cover = metric.l2_cover_factor(mc.center.shape[0])
-        candidate_ids = tree.query_ball_candidates(mc.center, 3.0 * eps * cover)
-        if not candidate_ids:
-            # the MC itself is always reachable; an empty candidate list
-            # can only happen on a pathological empty tree
-            mc.reach_ids = np.asarray([mc.mc_id], dtype=np.int64)
-            continue
-        cand = np.asarray(candidate_ids, dtype=np.int64)
-        centers = np.stack([mcs[int(c)].center for c in cand])
-        counters.dist_calcs += int(cand.shape[0])
-        raw = metric.raw_to_point(centers, mc.center)
-        reach = cand[raw <= limit_raw]
-        reach.sort()
-        mc.reach_ids = reach
-
-
-def compute_reachable_batched(
-    mcs: list[MicroCluster],
-    eps: float,
-    counters: Counters | None = None,
-    metric: Metric = EUCLIDEAN,
-) -> None:
-    """Populate ``mc.reach_ids`` for every MC without touching the tree.
-
-    A spatial join over a uniform grid of the centers.  The tree probe's
-    candidate set is exactly the set of ``center ± eps`` boxes the ball
+    A spatial join over a uniform grid of the centers; the first-level
+    tree is not read.  The paper probes that tree once per MC, and the
+    probe's candidate set is exactly the set of ``center ± eps`` boxes the ball
     ``B(center, 3 eps · cover)`` touches (internal-node pruning never
     rejects a hit leaf), and a box can only be touched when
     ``|Δ| <= 3 eps · cover + eps`` on every axis.  Hashing the centers
@@ -79,8 +45,9 @@ def compute_reachable_batched(
     tree's ball-vs-box predicate and the exact ``<= 3 eps`` test on the
     centers of its neighbouring cells only — a superset of its hits.
     ``dist_calcs`` and the sorted ``reach_ids`` come out identical to
-    :func:`compute_reachable`, in time proportional to the candidate
-    pairs rather than ``m²``.
+    the paper's per-MC tree probe (kept in
+    :mod:`repro.validation.reference`), in time proportional to the
+    candidate pairs rather than ``m²``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")

@@ -551,7 +551,6 @@ def fit_model(
     *,
     engine: str | Any = "exact",
     metric: str | Metric = EUCLIDEAN,
-    batch_queries: bool = True,
     block_size: int = DEFAULT_BLOCK_SIZE,
     **mu_kwargs: Any,
 ) -> FittedModel:
@@ -559,7 +558,7 @@ def fit_model(
     :class:`FittedModel`.
 
     ``engine="exact"`` (default) accepts the same knobs as
-    :func:`repro.core.mudbscan.mu_dbscan` (including ``builder`` /
+    :func:`repro.core.mudbscan.mu_dbscan` (including ``block_size`` /
     ``builder_block_size``); ``"sampled"`` / ``"summary"`` additionally
     take their engine options (``sample_fraction``, ``selection``,
     ``seed`` / ``link_factor`` — docs/ENGINES.md) and drop the
@@ -585,7 +584,6 @@ def fit_model(
             pts,
             params,
             metric=metric,
-            batch_queries=batch_queries,
             block_size=block_size,
             counters=counters,
             **mu_kwargs,

@@ -61,7 +61,7 @@ from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE, build_micro_clusters
 from repro.microcluster.microcluster import MCKind
-from repro.microcluster.reachability import compute_reachable_batched
+from repro.microcluster.reachability import compute_reachable
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
 from repro.observability.tracing import maybe_span
@@ -122,12 +122,12 @@ class StreamingMuDBSCAN:
         :class:`~repro.geometry.metrics.Metric` instance.
     window:
         Maximum live points (``None`` = unbounded; no expiry).
-    builder / builder_block_size:
-        Neighborhood-sweep strategy, honoured by *every* update batch
-        (not just the bulk seed): ``"grid"`` sweeps each batch in
-        vectorized blocks of ``builder_block_size`` rows through the
-        stable pairwise kernel; ``"scan"`` is the per-point reference
-        loop.  Identical results either way.
+    builder_block_size:
+        Rows per vectorized block, honoured by *every* update batch
+        (not just the bulk seed): the seed's grid builder sweeps
+        blocks of this many rows, and each update batch's
+        neighborhoods go through the stable pairwise kernel this many
+        rows at a time.  Results do not depend on it.
     compact_every:
         Compact after this many update calls (``None`` = only on the
         degeneracy trigger below, or manually).
@@ -151,7 +151,6 @@ class StreamingMuDBSCAN:
         metric: str | Metric = "euclidean",
         window: int | None = None,
         max_entries: int = 64,
-        builder: str = "grid",
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         compact_every: int | None = None,
         compact_dirty_fraction: float = 0.25,
@@ -161,13 +160,12 @@ class StreamingMuDBSCAN:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if builder not in ("grid", "scan"):
-            raise ValueError(f"unknown builder {builder!r}")
+        if builder_block_size < 1:
+            raise ValueError(f"builder_block_size must be >= 1, got {builder_block_size}")
         self.dim = dim
         self.metric = get_metric(metric)
         self.window = window
         self.max_entries = max_entries
-        self.builder = builder
         self.builder_block_size = int(builder_block_size)
         self.compact_every = compact_every
         self.compact_dirty_fraction = float(compact_dirty_fraction)
@@ -341,10 +339,9 @@ class StreamingMuDBSCAN:
     ) -> dict[int, Any]:
         """ε-neighborhoods (strict <, self included) of live ``rows``.
 
-        Grouped by owning MC; ``builder="grid"`` sweeps each group in
+        Grouped by owning MC; each group is swept in
         ``builder_block_size`` blocks through the stable pairwise
-        kernel (bit-identical to the per-point path), ``"scan"`` runs
-        the per-point reference loop.
+        kernel, whose values do not depend on the block's shape.
         """
         metric = self.metric
         thr = metric.threshold(self.params.eps)
@@ -357,13 +354,7 @@ class StreamingMuDBSCAN:
             cpts = pts[cand]
             self.counters.queries_run += len(group)
             self.counters.dist_calcs += len(group) * cand.shape[0]
-            if self.builder == "scan":
-                for r in group:
-                    raw = metric.raw_to_point(cpts, pts[r])
-                    mask = raw < thr
-                    out[r] = (cand[mask], raw[mask]) if with_raw else cand[mask]
-                continue
-            block = max(1, self.builder_block_size)
+            block = self.builder_block_size
             for start in range(0, len(group), block):
                 blk = group[start : start + block]
                 raw = metric.raw_pairwise_stable(pts[blk], cpts)
@@ -562,10 +553,9 @@ class StreamingMuDBSCAN:
             max_entries=self.max_entries,
             counters=self.counters,
             metric=self.metric,
-            builder=self.builder,
             block_size=self.builder_block_size,
         )
-        compute_reachable_batched(mcs, self.params.eps, self.counters, self.metric)
+        compute_reachable(mcs, self.params.eps, self.counters, self.metric)
         self._tree = tree
         self._point_mc[: pts.shape[0]] = point_mc
         self._members = [list(map(int, mc.member_rows)) for mc in mcs]
@@ -926,7 +916,6 @@ class StreamingMuDBSCAN:
                     ExtraKeys.ENGINE: "streaming",
                     ExtraKeys.ENGINE_OPTIONS: {
                         "window": self.window,
-                        "builder": self.builder,
                         "builder_block_size": self.builder_block_size,
                         "compact_every": self.compact_every,
                         "compact_dirty_fraction": self.compact_dirty_fraction,
@@ -1073,7 +1062,7 @@ class StreamingMuDBSCAN:
                 "created_unix": _time.time(),
                 "repro_version": __version__,
                 "engine": "streaming",
-                "engine_options": {"window": self.window, "builder": self.builder},
+                "engine_options": {"window": self.window},
                 "stream": {
                     "n_inserted_total": self.n_inserted_total,
                     "n_deleted_total": self.n_deleted_total,

@@ -9,6 +9,9 @@ RP-DBSCAN-like) against an exact clustering.
 :mod:`repro.validation.quality` sweeps the dataset registry to score
 the approximate clustering engines (``sampled`` / ``summary``) against
 the exact engine — the ARI gate that CI enforces.
+:mod:`repro.validation.reference` keeps the paper's per-point pipeline
+(scan builder, tree-probe reachability, one query per point) that the
+production paths are compared against; import it by its module path.
 """
 
 from repro.validation.exactness import (

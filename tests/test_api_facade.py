@@ -43,32 +43,35 @@ class TestFacade:
         assert via_facade.extras[ExtraKeys.N_RANKS] == 2
 
     def test_fit_forwards_options(self, small_blobs):
-        res = fit(small_blobs, eps=0.08, min_pts=6, batch_queries=False)
+        res = fit(small_blobs, eps=0.08, min_pts=6, dynamic_wndq=False)
         baseline = mu_dbscan(small_blobs, eps=0.08, min_pts=6)
         np.testing.assert_array_equal(res.labels, baseline.labels)
+        # the ablation only costs queries, which proves it arrived
+        assert res.counters.queries_run > baseline.counters.queries_run
 
     def test_fit_forwards_builder_options(self, small_blobs):
         baseline = mu_dbscan(small_blobs, eps=0.08, min_pts=6)
         for engine in ("exact", "sampled", "summary"):
             res = fit(
                 small_blobs, eps=0.08, min_pts=6, engine=engine,
-                builder="scan", builder_block_size=64,
+                builder_block_size=64,
             )
-            # builder choice only changes how MCs are built, never the
+            # the sweep block only changes how MCs are built, never the
             # MCs themselves — same count on every path
             assert (
                 res.extras[ExtraKeys.N_MICRO_CLUSTERS]
                 == baseline.extras[ExtraKeys.N_MICRO_CLUSTERS]
             )
-        # a bogus builder is rejected on every engine path, proving the
-        # keyword really reaches the micro-cluster layer
-        with pytest.raises(ValueError, match="builder"):
-            fit(small_blobs, eps=0.08, min_pts=6, builder="nope")
-        with pytest.raises(ValueError, match="builder"):
-            fit(
-                small_blobs, eps=0.08, min_pts=6, engine="summary",
-                builder="nope",
-            )
+            # a bogus block size is rejected on every engine path,
+            # proving the keyword really reaches the micro-cluster layer
+            with pytest.raises(ValueError, match="block_size"):
+                fit(
+                    small_blobs, eps=0.08, min_pts=6, engine=engine,
+                    builder_block_size=0,
+                )
+            # one builder: the strategy keyword is gone everywhere
+            with pytest.raises(TypeError, match="builder"):
+                fit(small_blobs, eps=0.08, min_pts=6, engine=engine, builder="scan")
 
     def test_deep_imports_still_work(self):
         from repro.core.mudbscan import mu_dbscan as deep_fit
@@ -85,6 +88,40 @@ class TestFacade:
         from repro.core import extras as extras_mod
 
         assert extras_mod.N_MICRO_CLUSTERS == ExtraKeys.N_MICRO_CLUSTERS
+
+
+class TestRemovedPathOptions:
+    """``builder`` and ``batch_queries`` chose between a production path
+    and the per-point reference; the reference now lives in
+    :mod:`repro.validation.reference`, and every entry point rejects
+    the keywords by name."""
+
+    @pytest.mark.parametrize("keyword", ["builder", "batch_queries"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["fit", "fit-sampled", "fit-summary", "mu_dbscan", "MuDBSCAN",
+         "fit_model", "stream"],
+    )
+    def test_type_error_names_the_keyword(self, small_blobs, entry, keyword):
+        from repro.core.mudbscan import MuDBSCAN
+        from repro.serving.model import fit_model
+
+        opt = {keyword: "scan" if keyword == "builder" else False}
+        calls = {
+            "fit": lambda: fit(small_blobs, eps=0.08, min_pts=6, **opt),
+            "fit-sampled": lambda: fit(
+                small_blobs, eps=0.08, min_pts=6, engine="sampled", **opt
+            ),
+            "fit-summary": lambda: fit(
+                small_blobs, eps=0.08, min_pts=6, engine="summary", **opt
+            ),
+            "mu_dbscan": lambda: mu_dbscan(small_blobs, eps=0.08, min_pts=6, **opt),
+            "MuDBSCAN": lambda: MuDBSCAN(eps=0.08, min_pts=6, **opt),
+            "fit_model": lambda: fit_model(small_blobs, 0.08, 6, **opt),
+            "stream": lambda: repro.stream(eps=0.08, min_pts=6, **opt),
+        }
+        with pytest.raises(TypeError, match=keyword):
+            calls[entry]()
 
 
 class TestNonFiniteInput:

@@ -1,11 +1,11 @@
 """The MC-batched neighborhood engine is a pure execution strategy.
 
-``batch_queries=True`` must reproduce the per-point path *exactly*:
-same labels, same core mask, same query/work counters — across metrics,
-the DESIGN.md §5 ablation flags, ``process_mask`` restrictions, block
-chunking, and the per-point fallback of the non-cached aux indexes.
-These tests pin that contract by running both paths and diffing
-everything observable.
+Production μDBSCAN must reproduce the paper's per-point pipeline
+(:mod:`repro.validation.reference`) *exactly*: same labels, same core
+mask, same query/work counters — across metrics, the DESIGN.md §5
+ablation flags, ``process_mask`` restrictions, block chunking, and the
+per-point loop of the non-cached aux indexes.  These tests pin that
+contract by running both and diffing everything observable.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.data.synthetic import blobs_with_noise
 from repro.instrumentation.counters import Counters
 from repro.microcluster.murtree import DENSE_MIN_CANDIDATES, MuRTree
 from repro.validation.exactness import check_exact
+from repro.validation.reference import reference_mu_dbscan, reference_state
 
 COUNTER_FIELDS = ("queries_run", "queries_saved", "dist_calcs", "unions")
 
@@ -37,8 +38,8 @@ def _mixed_workload(seed: int):
 
 
 def _run_both(pts, eps, min_pts, **kwargs):
-    batched = mu_dbscan(pts, eps, min_pts, batch_queries=True, **kwargs)
-    per_point = mu_dbscan(pts, eps, min_pts, batch_queries=False, **kwargs)
+    batched = mu_dbscan(pts, eps, min_pts, **kwargs)
+    per_point = reference_mu_dbscan(pts, eps, min_pts, **kwargs)
     return batched, per_point
 
 
@@ -81,15 +82,15 @@ class TestLabelAndCounterEquivalence:
     def test_block_size_chunking(self):
         """A tiny block_size forces multi-chunk blocks — same answers."""
         pts, eps, min_pts = _workload(4)
-        default = mu_dbscan(pts, eps, min_pts, batch_queries=True)
-        chunked = mu_dbscan(pts, eps, min_pts, batch_queries=True, block_size=3)
+        default = mu_dbscan(pts, eps, min_pts)
+        chunked = mu_dbscan(pts, eps, min_pts, block_size=3)
         _assert_equivalent(chunked, default)
 
     def test_batched_is_exact_against_oracle(self):
         from repro.baselines import brute_dbscan
 
         pts, eps, min_pts = _workload(5)
-        batched = mu_dbscan(pts, eps, min_pts, batch_queries=True)
+        batched = mu_dbscan(pts, eps, min_pts)
         report = check_exact(batched, brute_dbscan(pts, eps, min_pts), points=pts)
         assert report.ok, str(report)
 
@@ -101,17 +102,15 @@ class TestProcessMaskEquivalence:
         pts, eps, min_pts = _workload(seed)
         mask = np.zeros(pts.shape[0], dtype=bool)
         mask[: pts.shape[0] // 2] = True
-        states = {}
-        for bq in (True, False):
-            state, _ = run_mu_dbscan_state(
+        a, b = (
+            run(
                 pts,
                 DBSCANParams(eps=eps, min_pts=min_pts),
-                batch_queries=bq,
                 counters=Counters(),
                 process_mask=mask,
-            )
-            states[bq] = state
-        a, b = states[True], states[False]
+            )[0]
+            for run in (run_mu_dbscan_state, reference_state)
+        )
         np.testing.assert_array_equal(a.core, b.core)
         np.testing.assert_array_equal(a.assigned, b.assigned)
         np.testing.assert_array_equal(a.queried, b.queried)
@@ -126,8 +125,8 @@ class TestProcessMaskEquivalence:
 class TestAuxIndexFallback:
     @pytest.mark.parametrize("aux_index", ["flat", "rtree"])
     def test_non_cached_modes_fall_back_per_point(self, aux_index):
-        """batch_queries=True is a no-op outside cached mode — identical
-        results and identical (eagerly counted) work."""
+        """Outside cached mode production runs the per-point loop —
+        identical results and identical (eagerly counted) work."""
         pts, eps, min_pts = _workload(6)
         _assert_equivalent(*_run_both(pts, eps, min_pts, aux_index=aux_index))
 
@@ -187,7 +186,7 @@ class TestBothKernels:
     """Rows of reach blocks of at least ``DENSE_MIN_CANDIDATES``
     candidates are answered by dense per-MC sub-blocks, all others by
     flat waves; on a workload with many rows of each, the two together
-    must still reproduce the per-point path exactly."""
+    must still reproduce the per-point reference exactly."""
 
     @staticmethod
     def _pending_block_sizes(pts, eps, min_pts, metric):
@@ -214,26 +213,24 @@ class TestBothKernels:
 
     def test_block_size_three(self):
         pts, eps, min_pts = _mixed_workload(2)
-        chunked = mu_dbscan(pts, eps, min_pts, batch_queries=True, block_size=3)
-        per_point = mu_dbscan(pts, eps, min_pts, batch_queries=False)
+        chunked = mu_dbscan(pts, eps, min_pts, block_size=3)
+        per_point = reference_mu_dbscan(pts, eps, min_pts)
         _assert_equivalent(chunked, per_point)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
     def test_process_mask(self, metric):
         pts, eps, min_pts = _mixed_workload(3)
         mask = np.random.default_rng(3).random(pts.shape[0]) < 0.5
-        states = {
-            bq: run_mu_dbscan_state(
+        a, b = (
+            run(
                 pts,
                 DBSCANParams(eps=eps, min_pts=min_pts),
-                batch_queries=bq,
                 counters=Counters(),
                 metric=metric,
                 process_mask=mask,
             )[0]
-            for bq in (True, False)
-        }
-        a, b = states[True], states[False]
+            for run in (run_mu_dbscan_state, reference_state)
+        )
         for flag in ("core", "wndq", "assigned", "queried"):
             np.testing.assert_array_equal(getattr(a, flag), getattr(b, flag))
         np.testing.assert_array_equal(

@@ -14,7 +14,8 @@ from repro.geometry.distance import sq_dists_to_point
 from repro.geometry.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import build_micro_clusters
-from repro.microcluster.reachability import compute_reachable, compute_reachable_batched
+from repro.microcluster.reachability import compute_reachable
+from repro.validation.reference import build_micro_clusters_scan, compute_reachable_probe
 
 
 class TestBuildMicroClusters:
@@ -87,17 +88,19 @@ class TestBuildMicroClusters:
             build_micro_clusters(np.zeros((2, 2)), eps=0.0)
         with pytest.raises(ValueError, match=r"\(n, d\)"):
             build_micro_clusters(np.zeros(4), eps=1.0)
-        with pytest.raises(ValueError, match="builder"):
-            build_micro_clusters(np.zeros((2, 2)), eps=1.0, builder="fast")
+        # one builder: the strategy keyword no longer exists
+        with pytest.raises(TypeError, match="builder"):
+            build_micro_clusters(np.zeros((2, 2)), eps=1.0, builder="scan")
         with pytest.raises(ValueError, match="block_size"):
             build_micro_clusters(np.zeros((2, 2)), eps=1.0, block_size=0)
 
 
 def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, block_size=4096):
-    """Run both builders and require bit-identical structures + counters."""
+    """Run the grid builder and the reference scan; require bit-identical
+    structures + counters."""
     c_scan, c_grid = Counters(), Counters()
-    scan_mcs, scan_tree, scan_pm = build_micro_clusters(
-        pts, eps, counters=c_scan, defer_2eps=defer_2eps, metric=metric, builder="scan"
+    scan_mcs, scan_tree, scan_pm = build_micro_clusters_scan(
+        pts, eps, counters=c_scan, defer_2eps=defer_2eps, metric=metric
     )
     grid_mcs, grid_tree, grid_pm = build_micro_clusters(
         pts,
@@ -105,7 +108,6 @@ def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, b
         counters=c_grid,
         defer_2eps=defer_2eps,
         metric=metric,
-        builder="grid",
         block_size=block_size,
     )
     assert np.array_equal(scan_pm, grid_pm)
@@ -125,8 +127,8 @@ def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, b
     assert sorted(scan_tree.iter_payloads()) == sorted(grid_tree.iter_payloads())
     # Algorithm 5: the grid join reproduces the level-1 tree probe
     c_tree, c_join = Counters(), Counters()
-    compute_reachable(scan_mcs, scan_tree, eps, c_tree, metric=metric)
-    compute_reachable_batched(grid_mcs, eps, c_join, metric=metric)
+    compute_reachable_probe(scan_mcs, scan_tree, eps, c_tree, metric=metric)
+    compute_reachable(grid_mcs, eps, c_join, metric=metric)
     for a, b in zip(scan_mcs, grid_mcs):
         assert b.reach_ids.dtype == np.int64
         assert np.all(np.diff(b.reach_ids) > 0)
@@ -136,7 +138,7 @@ def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, b
 
 
 class TestGridBuilderParity:
-    """The grid-hash builder must be bit-for-bit the scan builder."""
+    """The grid-hash builder must be bit-for-bit the reference scan."""
 
     @pytest.mark.parametrize("name", dataset_names())
     def test_registry_euclidean(self, name):
@@ -282,7 +284,7 @@ class TestIntraBlockFixup:
     def test_deferral_happened(self, crafted):
         pts, eps = crafted
         counters = Counters()
-        build_micro_clusters(pts, eps, counters=counters, builder="grid")
+        build_micro_clusters(pts, eps, counters=counters)
         assert counters.deferred_points == 1
         assert counters.micro_clusters == 3
 

@@ -125,6 +125,17 @@ class TestCLI:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--builder", "scan"], ["--no-batch-queries"]])
+    @pytest.mark.parametrize("verb", ["run", "fit", "stream"])
+    def test_removed_path_flags_exit_2(self, verb, flag, tmp_path, capsys):
+        argv = [verb, "--dataset", "3DSRN", "--scale", "0.05", *flag]
+        if verb == "fit":
+            argv += ["--save", str(tmp_path / "m.mudb")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestServingCLI:
     def test_fit_save_predict_round_trip(self, tmp_path, rng, capsys):
@@ -179,6 +190,24 @@ class TestServingCLI:
              "--save", str(model_path)]
         ) == 0
         assert model_path.exists()
+
+    def test_fit_honours_builder_block_size(self, tmp_path, monkeypatch):
+        """The exact engine gets ``--builder-block-size`` as ``run`` does.
+        Results do not depend on the block size, so spy on the builder."""
+        from repro.microcluster import builder, murtree
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["block_size"])
+            return builder.build_micro_clusters(*args, **kwargs)
+
+        monkeypatch.setattr(murtree, "build_micro_clusters", spy)
+        assert main(
+            ["fit", "--dataset", "3DSRN", "--scale", "0.05",
+             "--builder-block-size", "7", "--save", str(tmp_path / "m.mudb")]
+        ) == 0
+        assert seen == [7]
 
     def test_predict_missing_model(self, tmp_path, rng):
         queries_path = tmp_path / "q.npy"

@@ -1,10 +1,13 @@
 """End-to-end tests of μDBSCAN — Theorem 1's guarantees, executable."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro import MuDBSCAN, brute_dbscan, check_exact, mu_dbscan
 from repro.core.params import DBSCANParams
+from repro.data.registry import dataset_names, load_dataset
 from repro.data.synthetic import blobs_with_noise, gaussian_blobs, uniform_box
 
 
@@ -87,6 +90,37 @@ class TestExactness:
             defer_2eps=defer_2eps, dynamic_wndq=dynamic_wndq,
         )
         assert check_exact(res, ref, points=small_blobs).ok
+
+
+#: registry scale of the oracle sweep (a few hundred points per set)
+_SWEEP_SCALE = 0.06
+_SWEEP_CASES = [
+    (name, metric, aux_index)
+    for name in dataset_names()
+    for metric in ("euclidean", "manhattan", "chebyshev")
+    for aux_index in ("cached", "flat")
+] + [(name, "euclidean", "rtree") for name in dataset_names()]
+
+
+@functools.lru_cache(maxsize=None)
+def _registry_oracle(name, metric):
+    pts, spec = load_dataset(name, scale=_SWEEP_SCALE)
+    return pts, spec, brute_dbscan(pts, spec.eps, spec.min_pts, metric=metric)
+
+
+class TestRegistryOracleSweep:
+    """Every registry set under every metric and aux mode, against the
+    brute-force oracle itself (the sibling-parity suites compare fit
+    paths with each other)."""
+
+    @pytest.mark.parametrize("name,metric,aux_index", _SWEEP_CASES)
+    def test_exact_against_brute(self, name, metric, aux_index):
+        pts, spec, ref = _registry_oracle(name, metric)
+        res = mu_dbscan(pts, spec.eps, spec.min_pts, metric=metric, aux_index=aux_index)
+        np.testing.assert_array_equal(res.core_mask, ref.core_mask)
+        # the border check must measure with the clustering's metric
+        report = check_exact(res, ref, points=pts, metric=metric)
+        assert report.ok, str(report)
 
 
 class TestQuerySavings:

@@ -15,8 +15,9 @@ from repro import brute_dbscan
 from repro.core.params import DBSCANParams
 from repro.data.registry import load_dataset
 from repro.data.synthetic import blobs_with_noise
-from repro.distributed.local import run_local_mu_dbscan
+from repro.distributed.local import _local_inputs, _package_fragment, run_local_mu_dbscan
 from repro.geometry.distance import sq_dists_to_point
+from repro.validation.reference import reference_state
 
 
 def _split_scene(pts: np.ndarray, eps: float):
@@ -124,10 +125,21 @@ def _halos_scene():
     return pts, spec.eps, spec.min_pts
 
 
+def _reference_fragment(owned_points, owned_gids, halo_points, halo_gids, params):
+    """The rank's fragment as the paper's per-point pipeline builds it."""
+    points, owned_mask, factory = _local_inputs(
+        owned_points, owned_gids, halo_points, halo_gids
+    )
+    state, timers = reference_state(
+        points, params, process_mask=owned_mask, state_factory=factory
+    )
+    return _package_fragment(state, timers)
+
+
 class TestBatchedFragments:
     """μDBSCAN-D keeps a per-pair union loop, so the batched engine must
-    emit a rank's fragment exactly as the per-point path does: the same
-    cross pairs in the same order, the same local unions and flags."""
+    emit a rank's fragment exactly as the per-point reference does: the
+    same cross pairs in the same order, the same local unions and flags."""
 
     @pytest.mark.parametrize("make", [_blobs_scene, _halos_scene], ids=["blobs", "halos"])
     def test_batched_fragment_equals_per_point(self, make):
@@ -135,10 +147,8 @@ class TestBatchedFragments:
         params = DBSCANParams(eps=eps, min_pts=min_pts)
         for owned, halo in _split_scene(pts, eps):
             batched, per_point = (
-                run_local_mu_dbscan(
-                    pts[owned], owned, pts[halo], halo, params, batch_queries=bq
-                )
-                for bq in (True, False)
+                run(pts[owned], owned, pts[halo], halo, params)
+                for run in (run_local_mu_dbscan, _reference_fragment)
             )
             assert batched.cross_pairs.shape[0] > 0
             np.testing.assert_array_equal(batched.cross_pairs, per_point.cross_pairs)

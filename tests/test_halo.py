@@ -5,7 +5,7 @@ import pytest
 
 from repro.distributed.halo import exchange_halo
 from repro.distributed.partition import kd_partition
-from repro.distributed.simmpi.launcher import run_mpi
+from repro.distributed.backends.thread import run_mpi
 from repro.geometry.distance import sq_dists_to_point
 
 

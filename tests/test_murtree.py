@@ -9,7 +9,7 @@ from repro.geometry.distance import neighbors_within, sq_dist
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import build_micro_clusters
 from repro.microcluster.murtree import MuRTree
-from repro.microcluster.reachability import compute_reachable_batched
+from repro.microcluster.reachability import compute_reachable
 
 
 @pytest.fixture
@@ -177,7 +177,7 @@ class TestReachabilityMemory:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            compute_reachable_batched(mcs, eps)
+            compute_reachable(mcs, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

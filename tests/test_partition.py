@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distributed.partition import kd_partition
-from repro.distributed.simmpi.launcher import run_mpi
+from repro.distributed.backends.thread import run_mpi
 
 
 def _partition(points: np.ndarray, p: int, sample_size: int = 256):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed.simmpi.comm import Communicator, World
-from repro.distributed.simmpi.launcher import run_mpi
+from repro.distributed.backends.thread import ThreadCommunicator as Communicator, World, run_mpi
 
 
 class TestPointToPoint:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.simmpi.launcher import run_mpi
+from repro.distributed.backends.thread import run_mpi
 
 _SETTINGS = settings(
     max_examples=15,

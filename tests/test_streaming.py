@@ -86,8 +86,10 @@ class TestInsertExactness:
             StreamingMuDBSCAN(eps=0.1, min_pts=3, dim=0)
         with pytest.raises(ValueError, match="window"):
             StreamingMuDBSCAN(eps=0.1, min_pts=3, window=0)
-        with pytest.raises(ValueError, match="builder"):
-            StreamingMuDBSCAN(eps=0.1, min_pts=3, builder="nope")
+        with pytest.raises(ValueError, match="builder_block_size"):
+            StreamingMuDBSCAN(eps=0.1, min_pts=3, builder_block_size=0)
+        with pytest.raises(TypeError, match="builder"):
+            StreamingMuDBSCAN(eps=0.1, min_pts=3, builder="scan")
 
     def test_seed_requires_empty_stream(self):
         pts = uniform_box(50, 2, seed=60)
@@ -98,13 +100,11 @@ class TestInsertExactness:
 
     def test_builder_threads_through_post_seed_inserts(self):
         pts = blobs_with_noise(300, 2, 4, noise_fraction=0.2, seed=61)
-        for builder in ("grid", "scan"):
-            inc = StreamingMuDBSCAN(
-                eps=0.08, min_pts=5, builder=builder, builder_block_size=64
-            )
+        for block in (1, 64):
+            inc = StreamingMuDBSCAN(eps=0.08, min_pts=5, builder_block_size=block)
             inc.partial_fit(pts[:150])
             inc.partial_fit(pts[150:])
-            assert inc.builder == builder
+            assert inc.builder_block_size == block
             assert check_exact(
                 inc.result(), brute_dbscan(pts, 0.08, 5), points=pts
             ).ok
