@@ -388,7 +388,7 @@ def run_serving_case() -> int:
     fit_start = time.perf_counter()
     model = fit_model(pts, EPS, MIN_PTS)
     fit_wall = time.perf_counter() - fit_start
-    model.murtree  # build the serving index outside the timed regions
+    model.route_table  # build the routing table outside the timed regions
     queries = _serving_queries(pts)
     print(
         f"fit: {fit_wall:.3f}s, {model.n_micro_clusters} MCs; "
@@ -840,7 +840,7 @@ def run_observability_case() -> int:
     # pipeline, plain vs. with tracing + structured logging both live —
     # the hooks a traced fleet worker runs per request
     model = fit_model(pts, EPS, MIN_PTS)
-    model.murtree  # index build happens outside the timed regions
+    model.route_table  # routing-table build happens outside the timed regions
     queries = _serving_queries(pts)
 
     def serving_plain():

@@ -229,7 +229,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     pts, eps, min_pts, name = _resolve_workload(args)
     ref = brute_dbscan(pts, eps, min_pts)
     kwargs = _mu_kwargs(args) if args.algo == "mu" else {}
-    res = SEQUENTIAL_ALGOS[args.algo](pts, eps, min_pts, **kwargs)
+    with _observability(args, root_name="fit"):
+        res = SEQUENTIAL_ALGOS[args.algo](pts, eps, min_pts, **kwargs)
     report = check_exact(res, ref, points=pts)
     print(f"{name}: {res.algorithm} vs brute oracle -> {report}")
     return 0 if report.ok else 1
@@ -736,18 +737,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the registered paper-dataset stand-ins")
 
-    def add_workload_args(p: argparse.ArgumentParser) -> None:
+    def add_workload_args(
+        p: argparse.ArgumentParser, *, block_size: bool = True
+    ) -> None:
         p.add_argument("--dataset", help="registry dataset name")
         p.add_argument("--input", help="points file (.npy/.csv/.tsv)")
         p.add_argument("--scale", type=float, default=None, help="size multiplier")
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--min-pts", type=int, default=None)
-        p.add_argument(
-            "--block-size",
-            type=int,
-            default=DEFAULT_BLOCK_SIZE,
-            help="rows per batched distance block (memory/speed trade-off)",
-        )
+        if block_size:
+            p.add_argument(
+                "--block-size",
+                type=int,
+                default=DEFAULT_BLOCK_SIZE,
+                help="rows per batched distance block (memory/speed trade-off)",
+            )
         p.add_argument(
             "--builder-block-size",
             type=int,
@@ -893,7 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a dataset as a live insert/delete stream "
         "(exact incremental maintenance; docs/STREAMING.md)",
     )
-    add_workload_args(strm)
+    # the stream's updates have no row-block knob to pass --block-size to
+    add_workload_args(strm, block_size=False)
     strm.add_argument(
         "--batch", type=_positive_int, default=512,
         help="points per insert batch during the replay",

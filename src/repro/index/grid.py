@@ -27,6 +27,8 @@ from repro.instrumentation.counters import Counters
 
 __all__ = [
     "UniformGrid",
+    "cell_order",
+    "cell_width",
     "concat_ranges",
     "hash_cells",
     "neighbor_cells",
@@ -46,7 +48,16 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
 
 
-def hash_cells(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+def cell_width(reach: float, scale: float) -> float:
+    """The width :func:`hash_cells` gives cells that must hold every
+    pair of points within ``reach`` per axis in the same or adjacent
+    cells, for points whose largest |coordinate| is ``scale``."""
+    return reach * (1.0 + 2.0**-20) + 2.0**-40 * scale
+
+
+def hash_cells(
+    points: np.ndarray, reach: float, *, scale: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Hash the ``(n, d)`` ``points`` into cubic cells a little wider
     than ``reach``; returns the distinct ``(k, d)`` int64 cells and each
     point's index into them.
@@ -57,9 +68,16 @@ def hash_cells(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray
     its rounding, the absolute one (2**-40 of the largest |coordinate|)
     rounding that grows with magnitude.  The latter also keeps every
     cell coordinate within ±2**40, so nothing overflows.
+
+    ``scale`` fixes that largest |coordinate| (default: the largest of
+    ``points``), so that point sets hashed separately with the same
+    ``reach`` and ``scale`` share one width (:func:`cell_width`) and
+    thus one grid; coordinates must then stay within a few cell widths
+    of ``scale`` for the ±2**40 bound to hold.
     """
-    scale = float(np.abs(points).max()) if points.size else 0.0
-    width = reach * (1.0 + 2.0**-20) + 2.0**-40 * scale
+    if scale is None:
+        scale = float(np.abs(points).max()) if points.size else 0.0
+    width = cell_width(reach, scale)
     coords = np.floor(points / width).astype(np.int64)
     order = np.lexsort(coords.T)  # one sort over int columns, not row structs
     coords = coords[order]
@@ -70,8 +88,18 @@ def hash_cells(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray
     return coords[head], cell_of
 
 
+def cell_order(cells: np.ndarray) -> np.ndarray:
+    """The order :func:`neighbor_cells` sorts its ``others`` cells in;
+    pass it back as ``others_order`` when one set of cells is joined
+    against many times."""
+    return np.argsort(_row_keys(cells), kind="stable")
+
+
 def neighbor_cells(
-    cells: np.ndarray, others: np.ndarray | None = None
+    cells: np.ndarray,
+    others: np.ndarray | None = None,
+    *,
+    others_order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells of ``others`` adjacent to each of ``cells`` (Chebyshev
     distance ≤ 1, an equal cell included), in any dimension.
@@ -87,7 +115,9 @@ def neighbor_cells(
     ``others``, every stencil offset is looked up in the sorted keys of
     ``others`` with ``searchsorted``; otherwise each cell is compared
     against the whole of ``others``.  Both run in chunks of
-    ``_NEIGHBOR_TEMP_ELEMS`` elements.
+    ``_NEIGHBOR_TEMP_ELEMS`` elements.  ``others_order``, when given,
+    is :func:`cell_order` of ``others``, so the stencil lookup does not
+    sort them again.
     """
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     if cells.ndim != 2:
@@ -100,9 +130,8 @@ def neighbor_cells(
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     if k and 3**d <= k_o:
-        keys = _row_keys(others)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        order = cell_order(others) if others_order is None else others_order
+        sorted_keys = _row_keys(others)[order]
         offsets = np.stack(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"), axis=-1)
         offsets = offsets.reshape(-1, d)
         step = max(1, _NEIGHBOR_TEMP_ELEMS // (k * d))

@@ -4,11 +4,11 @@ The fit→save→serve pipeline the production story needs:
 
 * :mod:`repro.serving.model` — :class:`FittedModel`, the frozen
   versioned artifact of a μDBSCAN run (binary save/load with checksum;
-  loading rebuilds the serving μR-tree from stored state instead of
-  re-running Algorithm 3).
+  serving reads the stored arrays and never re-runs Algorithm 3).
 * :mod:`repro.serving.predict` — exact online assignment of new points
-  (nearest-core-within-ε rule, Lemma-3 2ε pruning, vectorized per-MC
-  blocks) plus the brute-force oracle the tests compare against.
+  (nearest-core-within-ε rule, Lemma-3 2ε pruning through cells of the
+  micro-cluster centers, flat passes over (query, member) pairs) plus
+  the brute-force oracle the tests compare against.
 * :mod:`repro.serving.engine` — thread-safe :class:`QueryEngine` with
   request micro-batching, LRU answer caching and latency/hit-rate
   instrumentation.

@@ -181,9 +181,9 @@ class QueryEngine:
             target=self._batch_loop, name="mudbscan-batcher", daemon=True
         )
         self._worker.start()
-        # build the serving index eagerly so the first request does not
-        # pay the (one-off) reconstruction latency
-        self.model.murtree
+        # build the routing table eagerly so the first request does not
+        # pay its (one-off) construction
+        self.model.route_table
 
     # ------------------------------------------------------------------
     # observability
@@ -423,7 +423,7 @@ class QueryEngine:
     def swap_model(self, new_model) -> str:
         """Atomically replace the served model (hot swap).
 
-        The new model's serving index is built *before* any lock is
+        The new model's routing table is built *before* any lock is
         taken (the expensive part), then the flip — model pointer,
         cache namespace token, cache flush — happens under the predict
         lock, so no prediction can straddle two models.  In-flight
@@ -432,7 +432,7 @@ class QueryEngine:
         token change, so a swapped-in model can never serve another
         model's cached labels.  Returns the new version token.
         """
-        new_model.murtree  # warm the index outside the lock
+        new_model.route_table  # warm the routing table outside the lock
         new_token = self._token_for(new_model)
         with self._predict_lock:
             self.model = new_model

@@ -372,9 +372,9 @@ class ShardedPredictor:
         self.shards = {
             s: build_shard_model(model, self.plan, s) for s in range(n_shards)
         }
-        # warm each shard's serving index so timed comparisons are fair
+        # warm each shard's routing table so timed comparisons are fair
         for shard in self.shards.values():
-            shard.model.murtree
+            shard.model.route_table
 
     def predict(self, queries: np.ndarray, *, block_size: int | None = None) -> PredictResult:
         q = np.asarray(queries, dtype=np.float64)

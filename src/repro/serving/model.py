@@ -4,10 +4,11 @@ A :class:`FittedModel` is a versioned snapshot of one μDBSCAN run:
 the dataset, the labels and core flags, the complete micro-cluster
 structure (centers, memberships, reachability lists) and the run's
 parameters/counters.  It is everything online prediction needs and
-nothing it does not — in particular the serving-side μR-tree is
-**rebuilt from the stored centers and memberships**, never by
-re-running Algorithm 3 (the dominant fit-time phase, Table III), so a
-model fitted on one machine loads in milliseconds on another.
+nothing it does not: prediction reads the stored arrays plus a table
+of the MC centers hashed into 2ε cells (:attr:`FittedModel.route_table`),
+never an index rebuilt by re-running Algorithm 3 (the dominant
+fit-time phase, Table III), so a model fitted on one machine loads in
+milliseconds on another.
 
 On-disk container (``save_model`` / ``load_model``)::
 
@@ -50,6 +51,7 @@ from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
 from repro.observability.tracing import maybe_span
+from repro.serving.predict import RouteTable
 
 __all__ = [
     "FittedModel",
@@ -120,7 +122,8 @@ class FittedModel:
         as the fit-time one).
     reach_offsets / reach_flat:
         CSR encoding of each MC's reachable-MC id list (Algorithm 5
-        output — stored so the serving index never re-derives it).
+        output — stored so the μR-tree view never re-derives it;
+        prediction does not read it).
     params / metric_name / algorithm:
         Clustering provenance.
     counters:
@@ -147,8 +150,9 @@ class FittedModel:
     extras: dict[str, Any] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
     _murtree: MuRTree | None = field(default=None, repr=False, compare=False)
-    #: counters the serving-side index charges its query work to —
-    #: starts at zero so tests can assert no construction work happened
+    _route_table: RouteTable | None = field(default=None, repr=False, compare=False)
+    #: counters prediction charges its work to — starts at zero so
+    #: tests can assert no construction work happened
     serving_counters: Counters = field(default_factory=Counters)
     _version_token: str | None = field(default=None, repr=False, compare=False)
 
@@ -361,20 +365,35 @@ class FittedModel:
         )
 
     # ------------------------------------------------------------------
-    # serving index
+    # routing table and μR-tree view
+
+    @property
+    def route_table(self) -> RouteTable:
+        """The MC centers hashed into 2ε routing cells, built lazily.
+
+        Prediction reads this table and the stored arrays only
+        (:mod:`repro.serving.predict`).  Code that replaces the arrays
+        in place, as :meth:`StreamingEngine.refresh
+        <repro.serving.streaming.StreamingEngine.refresh>` does, must
+        reset ``_route_table`` and ``_murtree`` to ``None``.
+        """
+        if self._route_table is None:
+            self._route_table = RouteTable.build(self)
+        return self._route_table
 
     @property
     def murtree(self) -> MuRTree:
-        """The serving-side μR-tree, rebuilt lazily from stored state.
+        """A μR-tree view of the stored state, rebuilt lazily.
 
-        Reconstruction replays nothing: MC membership comes from the
-        stored CSR lists, the level-1 tree is STR-packed over the
-        stored ``center ± eps`` boxes, and the reachability lists are
-        restored verbatim — so ``serving_counters.micro_clusters``
-        stays 0 (Algorithm 3 never runs) and ``compute_reachability``
-        computes no distance (Algorithm 5 never runs).  The round-trip
-        test asserts both.  No MC gets a reach block: prediction reads
-        only the level-1 tree, the centers and the member blocks.
+        Prediction never reads it: it is the fit's index structure,
+        kept for inspection (:meth:`mc_kind_counts`) and for the
+        round-trip tests.  Reconstruction replays nothing: MC
+        membership comes from the stored CSR lists, the level-1 tree
+        is STR-packed over the stored ``center ± eps`` boxes, and the
+        reachability lists are restored verbatim — so
+        ``serving_counters.micro_clusters`` stays 0 (Algorithm 3 never
+        runs) and ``compute_reachability`` computes no distance
+        (Algorithm 5 never runs).  No MC gets a reach block.
         """
         if self._murtree is None:
             self._murtree = self._rebuild_murtree()
@@ -393,8 +412,7 @@ class FittedModel:
         MicroCluster.freeze_batch(
             mcs, self.member_flat, self.member_offsets, self.points, eps, metric=metric
         )
-        # the stored reach lists only: prediction reads the level-1 tree,
-        # the centers and the member blocks, never a reach block
+        # the stored reach lists only, no reach blocks
         for mc in mcs:
             mc.reach_ids = self.reach_ids(mc.mc_id).copy()
         dim = max(self.dim, 1)

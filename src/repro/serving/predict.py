@@ -21,22 +21,51 @@ Exactness argument.  For any stored point ``p ∈ MC(c)`` we have
 query satisfies ``dist(c, x) <= dist(c, p) + dist(p, x) < 2 eps`` —
 the Lemma-3 trick restricted to one hop: **only micro-clusters whose
 centers lie strictly within 2ε of the query can contain ε-neighbors.**
-The level-1 μR-tree shortlists those centers, and every touched MC is
-then answered with one vectorized ``(queries x members)`` raw-distance
-block.  Because the MCs partition the dataset, summing per-MC neighbor
-counts never double-counts, and the candidate union provably contains
-every ε-neighbor, so the pruned answer equals the brute-force one
+Because the MCs partition the dataset, summing per-MC neighbor counts
+never double-counts, and the candidate union provably contains every
+ε-neighbor, so the pruned answer equals the brute-force one
 (:func:`brute_predict`, the test oracle).
 
-Two floating-point details make that equality *bitwise*, not merely
-approximate.  First, the member-level blocks use
-``metric.raw_pairwise_stable`` — the direct ``sum((x - y)^2)`` form
-whose entries depend only on the point pair, never on the block shape
-(the BLAS expansion trick is shape-dependent in the last ulp, which
-flips strict-< for queries engineered onto the ε boundary).  The
-oracle uses the same kernel, so both sides compare identical raw
-values.  Second, the 2ε routing radius is widened by a relative
-``1e-6`` so rounding in the center distances cannot prune a
+Routing: center cells.  :class:`RouteTable` hashes a model's MC
+centers once into cubic cells at least ``R = 2ε·(1 + slack)`` wide
+(:func:`repro.index.grid.hash_cells`).  Each axis difference is
+bounded by the distance, ``|x_i - y_i| <= d(x, y)``, for L1, L2 and
+L∞ alike, so a center within ``R`` of a query differs from it by at
+most ``R`` on every axis and sits in the query's cell or an adjacent
+one.  A request's queries are hashed with the same width, their cells
+joined to the center cells (:func:`repro.index.grid.neighbor_cells`),
+and each (query, MC) pair so found is kept when the center passes the
+``<= R`` test.  The width is widened the way ``hash_cells`` widens
+it: relatively by 2**-20 for rounding in ``R``, and absolutely by
+2**-40 of the centers' largest |coordinate| ``S`` for rounding that
+grows with magnitude.  ``x / width`` is off by at most 2**-53 of
+itself; the absolute term widens each cell by 2**-40 of ``S / width``
+cells, 2**13 times more.  That is why the cells come from a width
+derived from the *centers'* magnitude, and why a query within ``R``
+of a center — so no farther out than ``S + R`` — still lands in a
+cell adjacent to the center's after rounding.  A query with a
+coordinate more than two cell widths beyond ``S`` (NaN and ±inf
+included) is within ``R`` of no center: it routes nowhere and is
+answered as noise with 0 neighbors, without ever reaching the
+integer cast, and every routed quotient stays within ±(2**40 + 2).
+
+Scoring: one per-pair kernel.  The surviving (query, MC) pairs are
+expanded to (query, member) pairs through the stored member CSR and
+scored in passes of at most ``_PAIR_BUDGET`` pairs and at most
+``block_size`` query rows; counts, the nearest core and its
+smallest-row tie-break come from segment reductions over each query's
+run of pairs.
+
+Two floating-point details make the equality with the oracle *bitwise*,
+not merely approximate.  First, each pair is scored with
+``metric.raw_to_point`` on the pair's coordinate difference — the
+direct ``sum((x - y)^2)`` form, whose value depends only on the point
+pair, never on the pass it was computed in (the BLAS expansion trick
+is shape-dependent in the last ulp, which flips strict-< for queries
+engineered onto the ε boundary).  The oracle's
+``metric.raw_pairwise_stable`` is the same form, so both sides compare
+identical raw values.  Second, the 2ε routing radius is widened by a
+relative ``1e-6`` so rounding in the center distances cannot prune a
 micro-cluster whose true center distance is marginally under 2ε;
 routing is pruning-only, so the widening never changes an answer.
 """
@@ -44,15 +73,24 @@ routing is pruning-only, so the widening never changes an answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
+from repro.index.grid import (
+    cell_order,
+    cell_width,
+    concat_ranges,
+    hash_cells,
+    neighbor_cells,
+    neighbor_members,
+)
 from repro.instrumentation.counters import Counters
 from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE
 from repro.observability.tracing import maybe_span
 
-__all__ = ["PredictResult", "predict_model", "brute_predict"]
+__all__ = ["PredictResult", "RouteTable", "predict_model", "brute_predict"]
 
 #: sentinel "no core neighbor" row — larger than any real dataset row
 _NO_ROW = np.iinfo(np.int64).max
@@ -63,6 +101,11 @@ _NO_ROW = np.iinfo(np.int64).max
 #: distances from dropping a micro-cluster whose true center distance
 #: is marginally under 2ε.
 _ROUTING_SLACK = 1e-6
+
+#: (query, candidate) pairs one scoring pass holds at most — bounds the
+#: pass's ``(pairs, d)`` difference temporaries whatever the batch size
+#: or the micro-cluster sizes
+_PAIR_BUDGET = 1 << 16
 
 
 @dataclass
@@ -145,6 +188,143 @@ def _finalize(
     )
 
 
+@dataclass(frozen=True)
+class RouteTable:
+    """A model's MC centers hashed into routing cells (module docstring).
+
+    Built once per model and cached on it
+    (:attr:`repro.serving.model.FittedModel.route_table`); every
+    request hashes its queries with the same width and joins them to
+    :attr:`cells`.  The members of center cell ``j`` are the MC ids
+    ``cell_mcs[cell_first[j]:cell_first[j] + cell_count[j]]``.
+    """
+
+    #: widened 2ε routing radius ``R``
+    reach: float
+    #: largest |center coordinate|: with ``reach`` it fixes the width
+    scale: float
+    #: queries with a larger |coordinate| route to no center
+    limit: float
+    centers: np.ndarray
+    cells: np.ndarray
+    cell_order: np.ndarray
+    cell_first: np.ndarray
+    cell_count: np.ndarray
+    cell_mcs: np.ndarray
+
+    @classmethod
+    def build(cls, model) -> "RouteTable":
+        reach = 2.0 * model.params.eps * (1.0 + _ROUTING_SLACK)
+        centers = np.ascontiguousarray(model.points[model.center_rows])
+        scale = float(np.abs(centers).max()) if centers.size else 0.0
+        cells, cell_of = hash_cells(centers, reach, scale=scale)
+        cell_count = np.bincount(cell_of, minlength=cells.shape[0])
+        return cls(
+            reach=reach,
+            scale=scale,
+            limit=scale + 2.0 * cell_width(reach, scale),
+            centers=centers,
+            cells=cells,
+            cell_order=cell_order(cells),
+            cell_first=np.cumsum(cell_count) - cell_count,
+            cell_count=cell_count,
+            cell_mcs=np.argsort(cell_of, kind="stable"),
+        )
+
+    def route(
+        self, q: np.ndarray, metric: Metric
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The (query, MC) pairs of ``q`` whose center passes the
+        widened 2ε test, as query-major ``(query_idx, mc_ids)``, and
+        the number of center distances computed."""
+        rows = np.flatnonzero((np.abs(q) <= self.limit).all(axis=1))
+        if not rows.size:
+            return rows, rows, 0
+        q_cells, q_cell = hash_cells(q[rows], self.reach, scale=self.scale)
+        start, cand = neighbor_members(
+            *neighbor_cells(q_cells, self.cells, others_order=self.cell_order),
+            self.cell_first,
+            self.cell_count,
+            self.cell_mcs,
+        )
+        lengths = start[q_cell + 1] - start[q_cell]
+        route_raw = metric.threshold(self.reach)
+        origin = np.zeros(q.shape[1])
+        q_idx, mc_ids = [rows[:0]], [rows[:0]]
+        for idx, pos in _passes(rows, start[q_cell], lengths):
+            mc = cand[pos]
+            diff = np.take(self.centers, mc, axis=0)
+            diff -= np.take(q, idx, axis=0)
+            keep = metric.raw_to_point(diff, origin) <= route_raw
+            q_idx.append(idx[keep])
+            mc_ids.append(mc[keep])
+        return np.concatenate(q_idx), np.concatenate(mc_ids), int(lengths.sum())
+
+
+def _passes(
+    owner: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Lay the ranges ``starts[j] .. starts[j] + lengths[j] - 1`` one
+    after another and cut them into passes of at most ``_PAIR_BUDGET``
+    elements; yields each pass's ``(owner of each element, element)``.
+    A range may be split between passes."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    if total <= _PAIR_BUDGET:  # the common case, a single pass
+        if total:
+            yield np.repeat(owner, lengths), concat_ranges(starts, lengths)
+        return
+    begins = ends - lengths
+    for a in range(0, total, _PAIR_BUDGET):
+        b = min(a + _PAIR_BUDGET, total)
+        i = int(np.searchsorted(ends, a, side="right"))
+        j = int(np.searchsorted(begins, b, side="left"))
+        lo = np.maximum(begins[i:j], a)
+        n = np.minimum(ends[i:j], b) - lo
+        yield (
+            np.repeat(owner[i:j], n),
+            concat_ranges(starts[i:j] + (lo - begins[i:j]), n),
+        )
+
+
+def _runs(ids: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in the non-empty ``ids``."""
+    return np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+
+
+def _score_pass(
+    model,
+    q: np.ndarray,
+    q_idx: np.ndarray,
+    rows: np.ndarray,
+    eps_raw: float,
+    counts: np.ndarray,
+    best_raw: np.ndarray,
+    best_row: np.ndarray,
+) -> None:
+    """Score one pass of (query, member) pairs, ``q_idx`` ascending,
+    into the running per-query ``counts`` and nearest core
+    ``(best_raw, best_row)`` — smallest raw value, then smallest row."""
+    diff = np.take(model.points, rows, axis=0)
+    diff -= np.take(q, q_idx, axis=0)
+    raw = model.metric.raw_to_point(diff, np.zeros(q.shape[1]))
+    hit = raw < eps_raw
+    run = _runs(q_idx)
+    counts[q_idx[run]] += np.add.reduceat(hit, run, dtype=np.int64)
+    core = np.flatnonzero(hit & model.core_mask[rows])
+    if not core.size:
+        return
+    c_idx, c_raw, c_row = q_idx[core], raw[core], rows[core]
+    run = _runs(c_idx)
+    low = np.minimum.reduceat(c_raw, run)
+    at_low = c_raw == np.repeat(low, np.diff(run, append=core.size))
+    low_row = np.minimum.reduceat(np.where(at_low, c_row, _NO_ROW), run)
+    tgt = c_idx[run]
+    take = (low < best_raw[tgt]) | ((low == best_raw[tgt]) & (low_row < best_row[tgt]))
+    best_raw[tgt[take]] = low[take]
+    best_row[tgt[take]] = low_row[take]
+
+
 def predict_model(
     model,
     queries: np.ndarray,
@@ -154,30 +334,13 @@ def predict_model(
 ) -> PredictResult:
     """Assign ``queries`` to the fitted clustering, exactly.
 
+    Each block of at most ``block_size`` query rows is routed through
+    the model's :class:`RouteTable` (2ε center cells) and its
+    (query, member) pairs scored in flat passes; see the module
+    docstring for why the answer equals :func:`brute_predict`'s.
     When a tracer is active, the call produces a ``serving.predict``
-    span with ``serving.route`` (2ε MC shortlisting) and
-    ``serving.score`` (per-MC distance blocks) nested under it.
-    """
-    with maybe_span("serving.predict"):
-        return _predict_impl(
-            model, queries, block_size=block_size, counters=counters
-        )
-
-
-def _predict_impl(
-    model,
-    queries: np.ndarray,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    counters: Counters | None = None,
-) -> PredictResult:
-    """Assign ``queries`` to the fitted clustering, exactly.
-
-    One vectorized raw-distance block per *touched* micro-cluster:
-    queries are routed to candidate MCs through the level-1 tree (2ε
-    center rule), inverted into per-MC query groups, and each group is
-    answered in ``block_size``-row chunks against the MC's member
-    coordinates.
+    span with one ``serving.route`` and one ``serving.score`` span
+    per block nested under it.
 
     Parameters
     ----------
@@ -187,89 +350,43 @@ def _predict_impl(
         ``(k, d)`` (or a single ``(d,)``) query coordinates; any
         numeric dtype.
     block_size:
-        Row budget per transient distance matrix.
+        Query rows routed and scored together.
     counters:
         Work counters to charge (default: the model's serving
         counters).
     """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    q = _as_queries(queries, model.dim)
-    k = q.shape[0]
-    counters = counters if counters is not None else model.serving_counters
-    metric = model.metric
-    murtree = model.murtree
-    eps = model.params.eps
-    eps_raw = metric.threshold(eps)
-    route_r = 2.0 * eps * (1.0 + _ROUTING_SLACK)
-    route_raw = metric.threshold(route_r)
-    cover = metric.l2_cover_factor(model.dim) if model.dim else 1.0
-
-    counts = np.zeros(k, dtype=np.int64)
-    best_raw = np.full(k, np.inf, dtype=np.float64)
-    best_row = np.full(k, _NO_ROW, dtype=np.int64)
-    counters.queries_run += k
-
-    if k == 0 or model.n == 0:
+    with maybe_span("serving.predict"):
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        q = _as_queries(queries, model.dim)
+        k = q.shape[0]
+        counters = counters if counters is not None else model.serving_counters
+        counters.queries_run += k
+        counts = np.zeros(k, dtype=np.int64)
+        best_raw = np.full(k, np.inf, dtype=np.float64)
+        best_row = np.full(k, _NO_ROW, dtype=np.int64)
+        if k and model.n:
+            table = model.route_table
+            eps_raw = model.metric.threshold(model.params.eps)
+            offsets = model.member_offsets
+            for lo in range(0, k, block_size):
+                block = slice(lo, lo + block_size)
+                qb = q[block]
+                with maybe_span("serving.route", queries=qb.shape[0]):
+                    q_idx, mc, tested = table.route(qb, model.metric)
+                sizes = offsets[mc + 1] - offsets[mc]
+                pairs = int(sizes.sum())
+                counters.dist_calcs += tested + pairs
+                with maybe_span("serving.score", mc_pairs=mc.size, pairs=pairs):
+                    # the block's slices are views: passes write through
+                    for idx, pos in _passes(q_idx, offsets[mc], sizes):
+                        _score_pass(
+                            model, qb, idx, model.member_flat[pos], eps_raw,
+                            counts[block], best_raw[block], best_row[block],
+                        )
         return _finalize(
-            model.labels, model.params.min_pts, metric, best_raw, best_row, counts
+            model.labels, model.params.min_pts, model.metric, best_raw, best_row, counts
         )
-
-    # route queries to candidate MCs (level-1 shortlist + exact strict-<
-    # 2ε center test), inverted to one query group per touched MC
-    by_mc: dict[int, list[int]] = {}
-    level1 = murtree.level1
-    with maybe_span("serving.route", queries=k):
-        for i in range(k):
-            cand = level1.query_ball_candidates(q[i], route_r * cover)
-            if not cand:
-                continue
-            cand_arr = np.asarray(cand, dtype=np.int64)
-            centers = np.stack([murtree.mcs[int(c)].center for c in cand_arr])
-            counters.dist_calcs += int(cand_arr.shape[0])
-            raw = metric.raw_to_point(centers, q[i])
-            for mc_id in cand_arr[raw <= route_raw]:
-                by_mc.setdefault(int(mc_id), []).append(i)
-
-    with maybe_span("serving.score", touched_mcs=len(by_mc)):
-        for mc_id, q_idx_list in by_mc.items():
-            mc = murtree.mcs[mc_id]
-            assert mc.member_rows is not None and mc.member_points is not None
-            rows = mc.member_rows
-            core_cols = np.flatnonzero(model.core_mask[rows])
-            core_rows = rows[core_cols]
-            q_idx = np.asarray(q_idx_list, dtype=np.int64)
-            counters.dist_calcs += int(q_idx.size) * int(rows.shape[0])
-            for start in range(0, q_idx.size, block_size):
-                chunk = q_idx[start : start + block_size]
-                raw_mat = metric.raw_pairwise_stable(q[chunk], mc.member_points)
-                within = raw_mat < eps_raw
-                counts[chunk] += np.count_nonzero(within, axis=1)
-                if not core_cols.size:
-                    continue
-                raw_core = np.where(
-                    within[:, core_cols], raw_mat[:, core_cols], np.inf
-                )
-                mc_best = raw_core.min(axis=1)
-                hit = np.isfinite(mc_best)
-                if not hit.any():
-                    continue
-                # among columns achieving the minimum, take the smallest
-                # global row — the deterministic tie-break
-                mc_row = np.where(
-                    raw_core <= mc_best[:, None], core_rows[None, :], _NO_ROW
-                ).min(axis=1)
-                tgt = chunk[hit]
-                better = mc_best[hit] < best_raw[tgt]
-                tie = (mc_best[hit] == best_raw[tgt]) & (mc_row[hit] < best_row[tgt])
-                take = better | tie
-                upd = tgt[take]
-                best_raw[upd] = mc_best[hit][take]
-                best_row[upd] = mc_row[hit][take]
-
-    return _finalize(
-        model.labels, model.params.min_pts, metric, best_raw, best_row, counts
-    )
 
 
 def brute_predict(

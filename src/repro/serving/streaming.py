@@ -4,12 +4,12 @@
 to a served :class:`~repro.serving.model.FittedModel` and keeps the two
 in sync **in place** — no refit (the stream maintains the clustering
 incrementally), no model swap (the served ``FittedModel`` object is
-mutated under a lock; its lazily-rebuilt serving index and version
-token are invalidated so caches re-key).  Queries keep flowing against
-the same object mid-stream, and the gap between the stream head and the
-served snapshot is exported as staleness gauges through the
-observability registry (the same registry the HTTP ``/metrics``
-endpoint renders):
+mutated under a lock; its lazily built routing table, μR-tree view
+and version token are invalidated so caches re-key).  Queries keep
+flowing against the same object mid-stream, and the gap between the
+stream head and the served snapshot is exported as staleness gauges
+through the observability registry (the same registry the HTTP
+``/metrics`` endpoint renders):
 
 * ``mudbscan_stream_updates_total{kind=...}`` — applied inserts /
   deletes / expiries;
@@ -165,9 +165,10 @@ class StreamingEngine:
         """Sync the served model to the stream head, in place.
 
         The served ``FittedModel`` object keeps its identity (no swap);
-        its arrays are replaced and the cached serving index / version
-        token are dropped, so the next query lazily re-keys — exactly
-        the cache-coherence contract ``QueryEngine`` relies on.
+        its arrays are replaced and the cached routing table, μR-tree
+        view and version token are dropped, so the next query lazily
+        re-keys — exactly the cache-coherence contract ``QueryEngine``
+        relies on.
         Returns the new version token.
         """
         with self._lock:
@@ -182,6 +183,7 @@ class StreamingEngine:
             model.extras = snapshot.extras
             model.meta = snapshot.meta
             model._murtree = None
+            model._route_table = None
             model._version_token = None
             model.serving_counters.reset()
             staleness_updates = self._staleness_updates

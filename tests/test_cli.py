@@ -16,6 +16,7 @@ import repro
 from repro.cli import main
 from repro.data.io import load_points, save_points
 from repro.data.synthetic import blobs_with_noise
+from repro.observability.tracing import load_jsonl
 from repro.serving.model import fit_model, save_model
 from repro.serving.predict import predict_model
 
@@ -89,6 +90,28 @@ class TestCLI:
 
     def test_compare_exact_returns_zero(self):
         assert main(["compare", "--dataset", "3DSRN", "--scale", "0.1"]) == 0
+
+    def test_compare_honours_observability_flags(self, tmp_path, capsys):
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.prom"
+        code = main([
+            "compare", "--dataset", "3DSRN", "--scale", "0.05",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+            "--profile", "light",
+        ])
+        assert code == 0
+        names = {span["name"] for span in load_jsonl(trace)}
+        assert {"fit", "tree_construction", "post_processing"} <= names
+        assert "mudbscan_phase_seconds" in metrics.read_text()
+        out = capsys.readouterr().out
+        assert "memory split-up" in out and "EXACT" in out
+
+    def test_stream_offers_no_block_size(self, capsys):
+        # the stream's updates have no row-block knob; the flag used to
+        # be parsed and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--dataset", "3DSRN", "--scale", "0.05", "--block-size", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --block-size 7" in capsys.readouterr().err
 
     def test_distributed_runs(self, capsys):
         code = main(

@@ -8,11 +8,16 @@ for on-manifold, off-manifold and exactly-ε-boundary query points, at
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.data.registry import REGISTRY, dataset_names
-from repro.serving.model import fit_model
+from repro.serving import predict as predict_mod
+from repro.serving.engine import QueryEngine
+from repro.serving.fleet.router import ShardedPredictor
+from repro.serving.model import FittedModel, fit_model
 from repro.serving.predict import PredictResult, brute_predict, predict_model
 
 #: keep each registry dataset to roughly this many points for the sweep
@@ -172,3 +177,169 @@ class TestSemantics:
         model = fit_model(small_blobs, 0.08, 6)
         res = predict_model(model, np.empty((0, 2)))
         assert len(res) == 0
+
+
+def _oracle(model, queries, **kw) -> PredictResult:
+    return brute_predict(
+        model.points, model.labels, model.core_mask, model.params.eps,
+        model.params.min_pts, queries, metric=model.metric_name, **kw,
+    )
+
+
+class TestOddQueries:
+    """Rows no center can be near — NaN, ±inf, coordinates far past
+    every center — route nowhere and answer as noise with 0 neighbors.
+    They must never reach the integer cell cast, which warns on NaN and
+    wraps on 1e300, so every call here runs with warnings as errors.
+    The CLI's ``predict --input`` and ``Fleet.predict`` hand such rows
+    to the kernel unchecked (only the HTTP front door rejects them)."""
+
+    ODD = np.array(
+        [
+            [np.nan, 0.0],
+            [0.0, np.nan],
+            [np.inf, 0.0],
+            [-np.inf, 1.0],
+            [1e300, 0.0],
+            [0.0, -1e300],
+            [1e300, 1e300],
+            [np.inf, -np.inf],
+        ]
+    )
+
+    def _queries(self, pts):
+        # odd rows between ordinary ones, so a dropped row cannot shift
+        # the answers of its neighbours in the batch
+        return np.vstack([pts[:8], self.ODD, pts[8:16] + 0.01])
+
+    def test_brute_parity_without_warnings(self, small_blobs):
+        model = fit_model(small_blobs, 0.08, 6)
+        queries = self._queries(small_blobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = predict_model(model, queries)
+            want = _oracle(model, queries)
+        _assert_same(got, want)
+        odd = slice(8, 8 + self.ODD.shape[0])
+        assert (got.labels[odd] == -1).all()
+        assert (got.n_neighbors[odd] == 0).all()
+        assert (got.nearest_core[odd] == -1).all()
+        assert (got.n_neighbors[:8] > 0).all()  # the ordinary rows still route
+
+    def test_sharded_path(self, small_blobs):
+        model = fit_model(small_blobs, 0.08, 6)
+        queries = self._queries(small_blobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ShardedPredictor(model, 2).predict(queries)
+        _assert_same(got, _oracle(model, queries))
+
+
+class TestFarFromOrigin:
+    """ε-boundary queries on a model 10⁷ from the origin.  The cell
+    width grows with the centers' magnitude, and ``q / width`` rounds
+    there; a query within 2ε of a center must still land in an adjacent
+    cell.  On a 1/1024 lattice the shift is exact, so every boundary
+    query stays exactly ε from its stored point, and the answers must
+    equal both the oracle's and those of the unshifted model."""
+
+    EPS = 1.0
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        rng = np.random.default_rng(5)
+        pts = np.round(rng.uniform(0, 12, (1500, 3)) * 1024) / 1024
+        take = rng.choice(pts.shape[0], 40, replace=False)
+        parts = []
+        for axis in range(3):
+            for step in (self.EPS, -self.EPS, self.EPS - 2.0**-10):
+                q = pts[take].copy()
+                q[:, axis] += step
+                parts.append(q)
+        return pts, np.vstack(parts)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_boundary_parity_after_shift(self, lattice, metric):
+        pts, queries = lattice
+        base = predict_model(fit_model(pts, self.EPS, 8, metric=metric), queries)
+        shift = 1e7
+        model = fit_model(pts + shift, self.EPS, 8, metric=metric)
+        np.testing.assert_array_equal(queries + shift - shift, queries)
+        got = predict_model(model, queries + shift)
+        _assert_same(got, _oracle(model, queries + shift))
+        np.testing.assert_array_equal(got.labels >= 0, base.labels >= 0)
+        np.testing.assert_array_equal(got.n_neighbors, base.n_neighbors)
+        np.testing.assert_array_equal(got.nearest_core, base.nearest_core)
+
+
+class TestPasses:
+    """(query, member) pairs are scored in passes of at most
+    ``_PAIR_BUDGET`` pairs, whatever the batch."""
+
+    def _spy(self, monkeypatch):
+        sizes = []
+        score = predict_mod._score_pass
+
+        def spy(model, q, q_idx, rows, *rest):
+            sizes.append(rows.size)
+            return score(model, q, q_idx, rows, *rest)
+
+        monkeypatch.setattr(predict_mod, "_score_pass", spy)
+        return sizes
+
+    def test_2048_queries_stay_within_the_pair_budget(
+        self, medium_blobs_3d, monkeypatch
+    ):
+        model = fit_model(medium_blobs_3d, 0.35, 8)
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, medium_blobs_3d.shape[0], 2048)
+        queries = medium_blobs_3d[rows] + rng.normal(0.0, 0.05, (2048, 3))
+        sizes = self._spy(monkeypatch)
+        got = predict_model(model, queries)
+        assert len(sizes) > 1 and max(sizes) <= predict_mod._PAIR_BUDGET
+        _assert_same(got, _oracle(model, queries))
+
+    def test_ranges_split_between_passes(self, medium_blobs_3d, monkeypatch):
+        # a budget smaller than most member lists splits one query's
+        # pairs, and one micro-cluster's members, between passes
+        model = fit_model(medium_blobs_3d, 0.35, 8)
+        queries = medium_blobs_3d[::5] + 0.01
+        want = predict_model(model, queries)
+        monkeypatch.setattr(predict_mod, "_PAIR_BUDGET", 37)
+        sizes = self._spy(monkeypatch)
+        for block_size in (1, 7, 1024):
+            _assert_same(predict_model(model, queries, block_size=block_size), want)
+        assert max(sizes) <= 37
+        _assert_same(want, _oracle(model, queries))
+
+
+class TestRouteTable:
+    """Prediction reads the stored arrays and the routing table only;
+    no request or startup path builds the μR-tree view."""
+
+    def test_built_once_and_no_murtree(self, small_blobs):
+        loaded = FittedModel.from_bytes(fit_model(small_blobs, 0.08, 6).to_bytes())
+        predict_model(loaded, small_blobs[:16])
+        table = loaded.route_table
+        predict_model(loaded, small_blobs[16:32])
+        assert loaded.route_table is table
+        assert loaded._murtree is None
+        assert loaded.serving_counters.micro_clusters == 0
+
+    def test_engine_and_shards_build_no_murtree(self, small_blobs):
+        model = fit_model(small_blobs, 0.08, 6)
+        loaded = FittedModel.from_bytes(model.to_bytes())
+        engine = QueryEngine(loaded)
+        try:
+            engine.predict(small_blobs[:8])
+            other = FittedModel.from_bytes(model.to_bytes())
+            engine.swap_model(other)
+            engine.predict(small_blobs[8:16])
+        finally:
+            engine.close()
+        assert loaded._murtree is None and other._murtree is None
+        sharded = ShardedPredictor(loaded, 2)
+        sharded.predict(small_blobs[:32])
+        for shard in sharded.shards.values():
+            assert shard.model._route_table is not None
+            assert shard.model._murtree is None

@@ -448,6 +448,31 @@ class TestServingIntegration:
         assert eng.model is model, "no swap: same FittedModel object"
         assert model.version_token() != v0
 
+    def test_refresh_drops_the_routing_table(self):
+        from repro.serving import brute_predict, predict_model
+
+        eng, pts = self._engine(refresh_every=100)
+        model = eng.model
+        predict_model(model, pts[:16])  # builds the routing table
+        assert model._route_table is not None
+        old_centers = {tuple(c) for c in model.points[model.center_rows]}
+        # a dense clump far from the data founds new micro-clusters, and
+        # deleting a third of the live points empties old ones
+        clump = 3.0 + np.random.default_rng(7).normal(0.0, 0.01, (40, 2))
+        eng.apply(inserts=clump, deletes=eng.stream.ids_[::3])
+        eng.refresh()
+        new_centers = {tuple(c) for c in model.points[model.center_rows]}
+        assert new_centers - old_centers and old_centers - new_centers
+        queries = np.vstack([clump[:10] + 0.001, pts[:30] + 0.002])
+        got = predict_model(model, queries)
+        want = brute_predict(
+            model.points, model.labels, model.core_mask, 0.08, 5, queries
+        )
+        assert (want.labels[:10] >= 0).all()  # the clump is a cluster now
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.n_neighbors, want.n_neighbors)
+        np.testing.assert_array_equal(got.nearest_core, want.nearest_core)
+
     def test_staleness_then_refresh(self):
         eng, pts = self._engine(refresh_every=3)
         v0 = eng.model.version_token()
