@@ -65,7 +65,7 @@ def fit(
       options ``sample_fraction`` / ``selection`` / ``seed`` are
       extracted from the keywords; the shared knobs (``metric``,
       ``block_size``, ``builder_block_size``, ``aux_index``,
-      ``max_entries``, ``tracer``) pass through.
+      ``tracer``) pass through.
     * ``"summary"`` — clustering over micro-cluster summaries; engine
       option ``link_factor``, same shared knobs.
 

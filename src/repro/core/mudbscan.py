@@ -30,7 +30,6 @@ from repro.core.state import MuDBSCANState
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
-from repro.microcluster.microcluster import MCKind
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
 from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
 from repro.observability.adapters import publish_run
@@ -51,7 +50,6 @@ def run_mu_dbscan_state(
     dynamic_wndq: bool = True,
     block_size: int = DEFAULT_BLOCK_SIZE,
     builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
-    max_entries: int = 64,
     metric: str | Metric = EUCLIDEAN,
     counters: Counters | None = None,
     timers: PhaseTimer | None = None,
@@ -93,7 +91,6 @@ def run_mu_dbscan_state(
             aux_index=aux_index,
             filtration=filtration,
             defer_2eps=defer_2eps,
-            max_entries=max_entries,
             counters=counters,
             metric=metric,
             builder_block_size=builder_block_size,
@@ -138,7 +135,6 @@ def mu_dbscan(
     dynamic_wndq: bool = True,
     block_size: int = DEFAULT_BLOCK_SIZE,
     builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
-    max_entries: int = 64,
     metric: str | Metric = EUCLIDEAN,
     timers: PhaseTimer | None = None,
     tracer: Tracer | None = None,
@@ -153,7 +149,7 @@ def mu_dbscan(
     eps, min_pts:
         DBSCAN density parameters (strict-< ε, self counted — see
         DESIGN.md §6).
-    aux_index, filtration, defer_2eps, dynamic_wndq, max_entries:
+    aux_index, filtration, defer_2eps, dynamic_wndq:
         Design knobs; the defaults reproduce the paper's algorithm, the
         alternatives are the DESIGN.md §5 ablations.
     builder_block_size:
@@ -212,21 +208,17 @@ def mu_dbscan(
             dynamic_wndq=dynamic_wndq,
             block_size=block_size,
             builder_block_size=builder_block_size,
-            max_entries=max_entries,
             metric=metric,
             counters=counters,
             timers=timers,
         )
     publish_run(get_registry(), counters, timers, algorithm="mu_dbscan")
     labels = state.uf.labels(noise_mask=state.final_noise_mask())
-    kind_counts = {kind.name: 0 for kind in MCKind}
-    for mc in state.murtree.mcs:
-        kind_counts[mc.kind(params.min_pts).name] += 1
     extras = {
         ExtraKeys.N_MICRO_CLUSTERS: state.murtree.n_micro_clusters,
         ExtraKeys.AVG_MC_SIZE: state.murtree.avg_mc_size,
         ExtraKeys.N_WNDQ_CORE: len(state.wndq_corelist),
-        ExtraKeys.MC_KIND_COUNTS: kind_counts,
+        ExtraKeys.MC_KIND_COUNTS: state.murtree.kind_counts(params.min_pts),
         ExtraKeys.METRIC: state.murtree.metric.name,
     }
     if profiler is not None:
@@ -269,7 +261,6 @@ class MuDBSCAN:
         "dynamic_wndq",
         "block_size",
         "builder_block_size",
-        "max_entries",
         "metric",
         "engine",
         "engine_options",
@@ -286,7 +277,6 @@ class MuDBSCAN:
         dynamic_wndq: bool = True,
         block_size: int = DEFAULT_BLOCK_SIZE,
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
-        max_entries: int = 64,
         metric: str | Metric = EUCLIDEAN,
         engine: str = "exact",
         engine_options: dict | None = None,
@@ -299,7 +289,6 @@ class MuDBSCAN:
         self.dynamic_wndq = dynamic_wndq
         self.block_size = block_size
         self.builder_block_size = builder_block_size
-        self.max_entries = max_entries
         self.metric = metric
         self.engine = engine
         self.engine_options = dict(engine_options) if engine_options else {}
@@ -354,7 +343,6 @@ class MuDBSCAN:
                 aux_index=self.aux_index,
                 block_size=self.block_size,
                 builder_block_size=self.builder_block_size,
-                max_entries=self.max_entries,
                 metric=self.metric,
             )
             return self
@@ -368,7 +356,6 @@ class MuDBSCAN:
             dynamic_wndq=self.dynamic_wndq,
             block_size=self.block_size,
             builder_block_size=self.builder_block_size,
-            max_entries=self.max_entries,
             metric=self.metric,
         )
         return self

@@ -81,9 +81,7 @@ def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
         by_mc[int(state.murtree.point_mc[row])].append(row)
 
     for mc_id, rows_list in by_mc.items():
-        mc = state.murtree.mcs[mc_id]
-        assert mc.reach_rows is not None
-        candidates = mc.reach_rows
+        candidates = state.murtree.reach_block(mc_id)
         rows = np.asarray(rows_list, dtype=np.int64)
 
         core_cand = candidates[state.core[candidates]]

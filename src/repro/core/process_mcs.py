@@ -14,27 +14,31 @@ Each micro-cluster is classified and yields preliminary clusters:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.state import MuDBSCANState
-from repro.microcluster.microcluster import MCKind
 
 __all__ = ["process_micro_clusters"]
 
 
 def process_micro_clusters(state: MuDBSCANState) -> None:
-    """Run Algorithm 4 over every micro-cluster."""
-    min_pts = state.params.min_pts
-    for mc in state.murtree.mcs:
-        kind = mc.kind(min_pts)
-        if kind is MCKind.SMC:
-            continue
-        assert mc.member_rows is not None and mc.ic_rows is not None
-        if kind is MCKind.DMC:
-            for row in mc.ic_rows:
-                state.mark_wndq_core(int(row))
-        else:  # CMC
-            state.mark_wndq_core(mc.center_row)
-        center = mc.center_row
-        for row in mc.member_rows:
-            if int(row) != center:
-                state.union(center, int(row))
+    """Run Algorithm 4 over every micro-cluster, in MC-id order.
+
+    Kinds come from the member and inner-circle sizes; each DMC or CMC
+    merges its members into its center with one
+    :meth:`MuDBSCANState.union_many` call (the founder leads its member
+    list, so the rest are the other members)."""
+    tree = state.murtree
+    dmc, cmc = tree.mc_kinds(state.params.min_pts)
+    bounds = tree.member_offsets.tolist()
+    ic_bounds = tree.ic_offsets.tolist()
+    centers = tree.center_rows.tolist()
+    for k, is_dmc in zip(np.flatnonzero(dmc | cmc).tolist(), dmc[dmc | cmc].tolist()):
+        center = centers[k]
+        if is_dmc:
+            for row in tree.ic_flat[ic_bounds[k] : ic_bounds[k + 1]].tolist():
+                state.mark_wndq_core(row)
+        else:
+            state.mark_wndq_core(center)
+        state.union_many(center, tree.member_flat[bounds[k] + 1 : bounds[k + 1]])
         state.assigned[center] = True

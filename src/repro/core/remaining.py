@@ -29,7 +29,7 @@ so issuing one Python-level :meth:`MuRTree.query_ball` per point
 re-gathers the same candidates ``|MC|`` times.  The batched path splits
 *computing* neighborhoods from *consuming* verdicts, and computes them
 with one of two kernels chosen per MC from the size of its reach block
-(``MuRTree.reach_offsets``):
+(``MuRTree.block_offsets``):
 
 * **dense sub-blocks** — rows of a block of at least
   ``DENSE_MIN_CANDIDATES`` candidates are answered per MC by
@@ -38,7 +38,7 @@ with one of two kernels chosen per MC from the size of its reach block
   ``_process_batched``), one distance matrix each;
 * **flat waves** — any other row that needs an answer starts a wave
   over the next still-live small-block rows in global order, up to
-  ``_WAVE_PAIRS`` (row, candidate) pairs gathered through the reach
+  ``_WAVE_PAIRS`` (row, candidate) pairs gathered through the block
   CSR and scored in one pass (``_flat_wave``).  Small blocks are most
   MCs of sparse data, where one call per sub-block made the fixed cost
   of a call the whole phase.
@@ -256,11 +256,11 @@ def _flat_wave(
     :meth:`MuRTree.query_ball` applies to a whole block, so every
     verdict is bit-identical to the per-point path's whatever the
     wave's shape; counts and neighbour lists come from segment
-    reductions and keep the reach CSR's order."""
+    reductions and keep the block CSR's order."""
     pair_end = np.cumsum(costs)
     cand = np.take(
-        murtree.reach_flat,
-        concat_ranges(murtree.reach_offsets[murtree.point_mc[rows]], costs),
+        murtree.block_rows,
+        concat_ranges(murtree.block_offsets[murtree.point_mc[rows]], costs),
     )
     points = murtree.points
     diff = np.take(points, cand, axis=0)
@@ -307,7 +307,7 @@ def _process_batched(
         return
     point_mc = murtree.point_mc
     # distance evaluations of each pending query: its reach block's size
-    cost = np.diff(murtree.reach_offsets)[point_mc[pending]]
+    cost = np.diff(murtree.block_offsets)[point_mc[pending]]
     dense = cost >= DENSE_MIN_CANDIDATES
     wave_rows = pending[~dense]
     wave_costs = cost[~dense]

@@ -38,7 +38,6 @@ from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
-from repro.microcluster.microcluster import MCKind
 from repro.microcluster.murtree import MuRTree
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
@@ -109,13 +108,10 @@ class ClusteringEngine(abc.ABC):
 
     def _shared_extras(self, fs: EngineFitState, params: DBSCANParams) -> dict[str, Any]:
         murtree = fs.murtree
-        kind_counts = {kind.name: 0 for kind in MCKind}
-        for mc in murtree.mcs:
-            kind_counts[mc.kind(params.min_pts).name] += 1
         extras: dict[str, Any] = {
             ExtraKeys.N_MICRO_CLUSTERS: murtree.n_micro_clusters,
             ExtraKeys.AVG_MC_SIZE: murtree.avg_mc_size,
-            ExtraKeys.MC_KIND_COUNTS: kind_counts,
+            ExtraKeys.MC_KIND_COUNTS: murtree.kind_counts(params.min_pts),
             ExtraKeys.METRIC: murtree.metric.name,
             ExtraKeys.ENGINE: self.name,
             ExtraKeys.ENGINE_OPTIONS: dict(self.get_params()),
@@ -188,28 +184,21 @@ class ClusteringEngine(abc.ABC):
         The artifact stores the full micro-cluster structure (members
         always; reach lists when the strategy computed them — the
         ``summary`` engine never does, and prediction routing does not
-        need them), so ``load_model`` + ``predict_model`` work for every
-        engine without a refit.
+        need them, so its reach lists are stored empty), so
+        ``load_model`` + ``predict_model`` work for every engine without
+        a refit.
         """
         from repro._version import __version__
-        from repro.serving.model import FittedModel, _csr
+        from repro.serving.model import FittedModel
 
         fs, params, counters, timers = self._run(
             points, eps, min_pts, timers=None, tracer=None, fit_opts=fit_opts
         )
         murtree = fs.murtree
-        members = []
-        reaches = []
-        for mc in murtree.mcs:
-            assert mc.member_rows is not None
-            members.append(mc.member_rows)
-            reaches.append(
-                mc.reach_ids
-                if mc.reach_ids is not None
-                else np.empty(0, dtype=np.int64)
-            )
-        member_offsets, member_flat = _csr(members)
-        reach_offsets, reach_flat = _csr(reaches)
+        reach_offsets, reach_flat = murtree.reach_offsets, murtree.reach_flat
+        if reach_offsets is None:
+            reach_offsets = np.zeros(murtree.n_micro_clusters + 1, dtype=np.int64)
+            reach_flat = np.empty(0, dtype=np.int64)
         extras = self._shared_extras(fs, params)
         extras[ExtraKeys.FIT_SECONDS] = timers.total()
         return FittedModel(
@@ -217,11 +206,9 @@ class ClusteringEngine(abc.ABC):
             labels=fs.labels,
             core_mask=fs.core_mask,
             point_mc=murtree.point_mc,
-            center_rows=np.asarray(
-                [mc.center_row for mc in murtree.mcs], dtype=np.int64
-            ),
-            member_offsets=member_offsets,
-            member_flat=member_flat,
+            center_rows=murtree.center_rows,
+            member_offsets=murtree.member_offsets,
+            member_flat=murtree.member_flat,
             reach_offsets=reach_offsets,
             reach_flat=reach_flat,
             params=params,

@@ -181,7 +181,6 @@ class SampledCoreEngine(ClusteringEngine):
         metric: str | Metric = EUCLIDEAN,
         block_size: int = DEFAULT_BLOCK_SIZE,
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
-        max_entries: int = 64,
     ) -> EngineFitState:
         eps, min_pts = params.eps, params.min_pts
         with timers.phase("tree_construction"), maybe_span("tree_construction"):
@@ -189,7 +188,6 @@ class SampledCoreEngine(ClusteringEngine):
                 points,
                 eps,
                 aux_index=aux_index,
-                max_entries=max_entries,
                 counters=counters,
                 metric=metric,
                 builder_block_size=builder_block_size,
@@ -247,8 +245,7 @@ class SampledCoreEngine(ClusteringEngine):
             for mc_id, rows in _groups_by_mc(
                 murtree.point_mc, np.flatnonzero(~core)
             ):
-                mc = murtree.mcs[mc_id]
-                cand = mc.reach_rows
+                cand = murtree.reach_block(mc_id)
                 cand = cand[core[cand]]
                 if cand.size == 0:
                     continue
@@ -305,8 +302,7 @@ class SampledCoreEngine(ClusteringEngine):
                     break
                 suspects: set[int] = set()
                 for mc_id, rows in _groups_by_mc(murtree.point_mc, un_rows):
-                    mc = murtree.mcs[mc_id]
-                    cand = mc.reach_rows
+                    cand = murtree.reach_block(mc_id)
                     cand = cand[assigned[cand] & ~core[cand]]
                     if cand.size == 0:
                         continue
@@ -340,8 +336,7 @@ class SampledCoreEngine(ClusteringEngine):
                     break
                 # assign the fringe against the enlarged core set
                 for mc_id, rows in _groups_by_mc(murtree.point_mc, un_rows):
-                    mc = murtree.mcs[mc_id]
-                    cand = mc.reach_rows
+                    cand = murtree.reach_block(mc_id)
                     cand = np.sort(cand[core[cand]])
                     if cand.size == 0:
                         continue

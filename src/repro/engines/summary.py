@@ -74,6 +74,7 @@ from repro.engines.base import (
     _dense_first_appearance,
 )
 from repro.geometry.metrics import EUCLIDEAN, Metric
+from repro.index.grid import concat_ranges
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
@@ -115,7 +116,6 @@ class SummaryEngine(ClusteringEngine):
         metric: str | Metric = EUCLIDEAN,
         block_size: int = DEFAULT_BLOCK_SIZE,
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
-        max_entries: int = 64,
     ) -> EngineFitState:
         eps, min_pts = params.eps, params.min_pts
         with timers.phase("tree_construction"), maybe_span("tree_construction"):
@@ -123,7 +123,6 @@ class SummaryEngine(ClusteringEngine):
                 points,
                 eps,
                 aux_index=aux_index,
-                max_entries=max_entries,
                 counters=counters,
                 metric=metric,
                 builder_block_size=builder_block_size,
@@ -139,23 +138,24 @@ class SummaryEngine(ClusteringEngine):
         # stray core k, resolved to union-find roots at the very end
         comp_assign = np.full(n, -1, dtype=np.int64)
 
+        offsets, members = murtree.member_offsets, murtree.member_flat
+        sizes = np.diff(offsets)
+
+        def member_rows_of(mc_ids: np.ndarray) -> np.ndarray:
+            return members[concat_ranges(offsets[mc_ids], sizes[mc_ids])]
+
         with timers.phase("clustering"), maybe_span("clustering"):
             # exact coreness at center granularity, plus the ε + r_i
             # upper-bound count that prunes the stray search (step 4)
-            centers_all = (
-                np.stack([mc.center for mc in murtree.mcs])
+            centers_all = np.take(pts, murtree.center_rows, axis=0)
+            # r_i: the farthest member from the center, each distance
+            # formed as raw_to_point(members, center) forms it
+            from_center = murtree.member_points - np.repeat(centers_all, sizes, axis=0)
+            raw_r = mtr.raw_to_point(from_center, np.zeros(pts.shape[1]))
+            radii_all = (
+                mtr.dist_from_raw(np.maximum.reduceat(raw_r, offsets[:-1]))
                 if m
-                else np.empty((0, pts.shape[1]))
-            )
-            radii_all = np.asarray(
-                [
-                    float(
-                        mtr.dist_from_raw(
-                            mtr.raw_to_point(mc.member_points, mc.center).max()
-                        )
-                    )
-                    for mc in murtree.mcs
-                ]
+                else np.empty(0)
             )
             counts = np.zeros(m, dtype=np.int64)
             ub_counts = np.zeros(m, dtype=np.int64)
@@ -179,13 +179,7 @@ class SummaryEngine(ClusteringEngine):
             # that survive the ε + r_i prune (N_ε(x) ⊆ B(c_i, ε + r_i),
             # so pruned MCs provably hold no core)
             stray_mc_ids = np.flatnonzero(~core_mc & (ub_counts >= min_pts))
-            stray_cand = (
-                np.concatenate(
-                    [murtree.mcs[int(i)].member_rows for i in stray_mc_ids]
-                )
-                if stray_mc_ids.size
-                else np.empty(0, dtype=np.int64)
-            )
+            stray_cand = member_rows_of(stray_mc_ids)
             stray_rows = np.empty(0, dtype=np.int64)
             if stray_cand.size:
                 stray_cand = np.sort(stray_cand)
@@ -205,9 +199,9 @@ class SummaryEngine(ClusteringEngine):
 
             # lazy exact coreness for individual rows, seeded with
             # everything already known: centers and stray candidates
-            core_known: dict[int, bool] = {}
-            for mc_id, mc in enumerate(murtree.mcs):
-                core_known[int(mc.center_row)] = bool(core_mc[mc_id])
+            core_known: dict[int, bool] = dict(
+                zip(murtree.center_rows.tolist(), core_mc.tolist())
+            )
             if stray_cand.size:
                 for row, cnt in zip(stray_cand, cand_counts):
                     core_known[int(row)] = bool(cnt >= min_pts)
@@ -245,9 +239,10 @@ class SummaryEngine(ClusteringEngine):
                         i = start + int(i_local)
                         if int(j) <= i:
                             continue
-                        mc_a = murtree.mcs[int(core_ids[i])]
-                        mc_b = murtree.mcs[int(core_ids[int(j)])]
-                        a, b = mc_a.member_points, mc_b.member_points
+                        a_lo, a_hi = offsets[core_ids[i]], offsets[core_ids[i] + 1]
+                        b_lo, b_hi = offsets[core_ids[j]], offsets[core_ids[j] + 1]
+                        a = murtree.member_points[a_lo:a_hi]
+                        b = murtree.member_points[b_lo:b_hi]
                         counters.dist_calcs += a.shape[0] * b.shape[0]
                         raw_ab = mtr.raw_pairwise_stable(a, b)
                         pairs = np.argwhere(raw_ab < r_raw)
@@ -257,8 +252,8 @@ class SummaryEngine(ClusteringEngine):
                             raw_ab[pairs[:, 0], pairs[:, 1]], kind="stable"
                         )
                         for pi in order:
-                            u = int(mc_a.member_rows[pairs[pi, 0]])
-                            v = int(mc_b.member_rows[pairs[pi, 1]])
+                            u = int(members[a_lo + pairs[pi, 0]])
+                            v = int(members[b_lo + pairs[pi, 1]])
                             if is_core_row(u) and is_core_row(v):
                                 uf.union(
                                     int(core_ids[i]), int(core_ids[int(j)])
@@ -269,28 +264,9 @@ class SummaryEngine(ClusteringEngine):
             # within the stray's ε-ball, and with every other stray
             # within ε (strays are exact cores, so both are DBSCAN
             # core-graph edges)
+            anchor0_rows = member_rows_of(core_ids)
+            anchor0_mc = np.repeat(core_ids, sizes[core_ids])
             if n_strays:
-                anchor0_rows = (
-                    np.concatenate(
-                        [murtree.mcs[int(i)].member_rows for i in core_ids]
-                    )
-                    if n_core_mcs
-                    else np.empty(0, dtype=np.int64)
-                )
-                anchor0_mc = (
-                    np.concatenate(
-                        [
-                            np.full(
-                                murtree.mcs[int(i)].member_rows.shape[0],
-                                int(i),
-                                dtype=np.int64,
-                            )
-                            for i in core_ids
-                        ]
-                    )
-                    if n_core_mcs
-                    else np.empty(0, dtype=np.int64)
-                )
                 targets = np.concatenate([anchor0_rows, stray_rows])
                 target_comp = np.concatenate(
                     [anchor0_mc, m + np.arange(n_strays, dtype=np.int64)]
@@ -318,10 +294,8 @@ class SummaryEngine(ClusteringEngine):
                             m + start + int(i_local), int(target_comp[j])
                         )
 
-            for mc_id in core_ids:
-                mc = murtree.mcs[int(mc_id)]
-                comp_assign[mc.member_rows] = int(mc_id)
-                core_mask[mc.center_row] = True
+            comp_assign[anchor0_rows] = anchor0_mc
+            core_mask[murtree.center_rows[core_ids]] = True
             comp_assign[stray_rows] = m + np.arange(n_strays, dtype=np.int64)
             core_mask[stray_rows] = True
 

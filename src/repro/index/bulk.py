@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.index.rtree import RTree, _Node
 
-__all__ = ["str_bulk_load", "str_bulk_load_point_boxes"]
+__all__ = ["str_bulk_load"]
 
 
 def _tile(
@@ -109,24 +109,3 @@ def str_bulk_load(
 
     tree._set_root(level[0], n)
 
-
-def str_bulk_load_point_boxes(
-    tree: RTree,
-    centers: np.ndarray,
-    radius: float,
-    payloads: np.ndarray | None = None,
-) -> None:
-    """Pack the boxes ``centers[i] ± radius`` into ``tree``.
-
-    The grid-hash builder defers every per-center ``tree.insert`` and
-    packs the finished first-level μR-tree in one STR pass — membership
-    is final by then, and a center's ``± eps`` box never changes, so the
-    static packing is exact (same rectangles, same payloads; only the
-    node layout differs from the dynamic-insert tree).
-    """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    if centers.ndim != 2:
-        raise ValueError(f"centers must be (n, d), got shape {centers.shape}")
-    str_bulk_load(tree, centers - radius, centers + radius, payloads=payloads)

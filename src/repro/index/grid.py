@@ -30,6 +30,7 @@ __all__ = [
     "cell_order",
     "cell_width",
     "concat_ranges",
+    "csr_from_parts",
     "hash_cells",
     "neighbor_cells",
     "neighbor_members",
@@ -194,6 +195,15 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
         np.cumsum(out, out=out)
     return out
+
+
+def csr_from_parts(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pack a ragged list of int arrays as ``(offsets, flat)``: part
+    ``k`` is ``flat[offsets[k]:offsets[k + 1]]``."""
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([p.shape[0] for p in parts], out=offsets[1:])
+    flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return offsets, flat.astype(np.int64, copy=False)
 
 
 class UniformGrid:

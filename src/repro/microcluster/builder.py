@@ -18,22 +18,25 @@ A second pass re-processes the ``unassignedList``: join a center within
 ``eps`` if one exists by now, else create an MC (no deferral the second
 time — every point must land somewhere).
 
-The first-level R-tree stores each MC as the fixed box ``center ± eps``:
-every member is strictly within ``eps`` of the center, so the box bounds
-the MC forever and never needs widening on insertion.
+The paper's first-level R-tree stores each MC as the fixed box
+``center ± eps``: every member is strictly within ``eps`` of the center,
+so the box bounds the MC forever and never needs widening on insertion.
 
 The sweep is vectorized (docs/ALGORITHM.md, "Grid-hash builder"):
 points are hashed into cells just wider than a candidate search
 reaches; per row-order block, a join over adjacent cells lists each
 point's candidate centers, flat pair chunks replay the tree's leaf test
-and the scan's distances, and an exact fixup walk replays intra-block
-MC creations in scan order against the block rows of adjacent cells.
-The first-level tree is STR bulk-loaded once.  Labels, ``point_mc``,
-MC membership order and every counter are **bit-identical** to the
-paper's per-point scan (one R-tree probe per point, a dynamic
-``tree.insert`` per created MC), which
-:mod:`repro.validation.reference` keeps as the comparison reference;
-the parity suite in ``tests/test_builder.py`` pins it.
+against the ``center ± eps`` boxes and the scan's distances, and an
+exact fixup walk replays intra-block MC creations in scan order against
+the block rows of adjacent cells.  No tree is built:
+:func:`build_micro_cluster_arrays` returns the MC structure as arrays
+straight from one sort.  Labels, ``point_mc``, MC membership order and
+every counter are **bit-identical** to the paper's per-point scan (one
+R-tree probe per point, a dynamic ``tree.insert`` per created MC),
+which :mod:`repro.validation.reference` keeps as the comparison
+reference; the parity suite in ``tests/test_builder.py`` pins it.
+:func:`build_micro_clusters` is the per-MC object view of the same
+result, with an STR-packed first-level tree, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -41,13 +44,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
-from repro.index.bulk import str_bulk_load_point_boxes
+from repro.index.bulk import str_bulk_load
 from repro.index.grid import hash_cells, neighbor_cells, neighbor_members
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MicroCluster
 
-__all__ = ["build_micro_clusters", "DEFAULT_BUILDER_BLOCK_SIZE"]
+__all__ = [
+    "build_micro_cluster_arrays",
+    "build_micro_clusters",
+    "DEFAULT_BUILDER_BLOCK_SIZE",
+]
 
 #: rows per vectorized sweep block
 DEFAULT_BUILDER_BLOCK_SIZE = 4096
@@ -57,16 +64,15 @@ DEFAULT_BUILDER_BLOCK_SIZE = 4096
 _PAIR_BUDGET = 4096
 
 
-def build_micro_clusters(
+def build_micro_cluster_arrays(
     points: np.ndarray,
     eps: float,
     *,
-    max_entries: int = 64,
     counters: Counters | None = None,
     defer_2eps: bool = True,
     metric: Metric = EUCLIDEAN,
     block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
-) -> tuple[list[MicroCluster], RTree, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run Algorithm 3 over ``points``.
 
     Parameters
@@ -75,8 +81,6 @@ def build_micro_clusters(
         ``(n, d)`` dataset.
     eps:
         DBSCAN ε (MC radius).
-    max_entries:
-        First-level R-tree node capacity.
     defer_2eps:
         The 2ε ``unassignedList`` rule.  ``False`` disables deferral
         (ablation 1 in DESIGN.md §5): every unassignable point
@@ -86,10 +90,11 @@ def build_micro_clusters(
 
     Returns
     -------
-    ``(mcs, first_level_tree, point_mc)`` where ``mcs`` is the list of
-    frozen micro-clusters, ``first_level_tree`` indexes their
-    ``center ± eps`` boxes by ``mc_id``, and ``point_mc[i]`` is the MC id
-    of dataset point ``i``.
+    ``(point_mc, center_rows, member_offsets, member_flat)``:
+    ``point_mc[i]`` is the MC id of dataset point ``i``,
+    ``center_rows[k]`` the row that founded MC ``k``, and MC ``k``'s
+    members are ``member_flat[member_offsets[k]:member_offsets[k + 1]]``
+    in assignment order, its founder first.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -105,10 +110,10 @@ def build_micro_clusters(
     two_eps_raw = metric.threshold(2.0 * eps)
     search_radius = (2.0 * eps if defer_2eps else eps) * cover
 
-    tree = RTree(dim, max_entries=max_entries, counters=counters)
     point_mc = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        return [], tree, point_mc
+        empty = np.empty(0, dtype=np.int64)
+        return point_mc, empty, np.zeros(1, dtype=np.int64), empty
 
     deferred: list[int] = []
     assigned: list[np.ndarray] = []  # rows in scan assignment order
@@ -277,10 +282,43 @@ def build_micro_clusters(
     order = np.concatenate(assigned)
     owner = point_mc[order]
     by_mc = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[by_mc], np.arange(m + 1))
-    centers = center_rows[:m]
-    mcs = [MicroCluster(i, r, pts[r]) for i, r in enumerate(centers.tolist())]
-    MicroCluster.freeze_batch(mcs, order[by_mc], bounds, pts, eps, metric=metric)
-    if m:
-        str_bulk_load_point_boxes(tree, np.take(pts, centers, axis=0), eps)
+    member_offsets = np.searchsorted(owner[by_mc], np.arange(m + 1))
+    return point_mc, center_rows[:m].copy(), member_offsets, order[by_mc]
+
+
+def build_micro_clusters(
+    points: np.ndarray,
+    eps: float,
+    *,
+    max_entries: int = 64,
+    counters: Counters | None = None,
+    defer_2eps: bool = True,
+    metric: Metric = EUCLIDEAN,
+    block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
+) -> tuple[list[MicroCluster], RTree, np.ndarray]:
+    """Algorithm 3 as frozen :class:`MicroCluster` objects plus the
+    paper's first-level R-tree (node capacity ``max_entries``) over
+    their ``center ± eps`` boxes, STR-packed with payload ``mc_id``.
+
+    A view over :func:`build_micro_cluster_arrays` (same keywords,
+    same counters) for inspection and tests; no production path reads
+    the objects or the tree.  Returns ``(mcs, first_level_tree,
+    point_mc)``.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    counters = counters if counters is not None else Counters()
+    point_mc, center_rows, member_offsets, member_flat = build_micro_cluster_arrays(
+        pts,
+        eps,
+        counters=counters,
+        defer_2eps=defer_2eps,
+        metric=metric,
+        block_size=block_size,
+    )
+    tree = RTree(pts.shape[1], max_entries=max_entries, counters=counters)
+    mcs = [MicroCluster(i, r, pts[r]) for i, r in enumerate(center_rows.tolist())]
+    MicroCluster.freeze_batch(mcs, member_flat, member_offsets, pts, eps, metric=metric)
+    if mcs:
+        centers = np.take(pts, center_rows, axis=0)
+        str_bulk_load(tree, centers - eps, centers + eps)
     return mcs, tree, point_mc

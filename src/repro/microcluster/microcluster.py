@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
 
-__all__ = ["MicroCluster", "MCKind"]
+__all__ = ["MicroCluster", "MCKind", "freeze_arrays"]
 
 
 class MCKind(enum.Enum):
@@ -40,7 +40,11 @@ class MicroCluster:
     points), then *frozen* once construction finishes — freezing
     materialises the member-index array, a contiguous copy of the member
     coordinates (for vectorized ε-queries), the tight member MBR used in
-    per-point reachability filtration, and the inner-circle rows.
+    per-point reachability filtration, and the inner-circle rows, all
+    with :func:`freeze_arrays`.  The production pipeline keeps these as
+    one set of arrays on :class:`~repro.microcluster.murtree.MuRTree`;
+    objects are grown only by the reference scan builder, and made by
+    ``MuRTree.mcs`` for inspection.
 
     Attributes
     ----------
@@ -123,25 +127,13 @@ class MicroCluster:
         rows.  Member rows and coordinates become views into one array
         each; every frozen structure equals a one-by-one :meth:`freeze`.
         """
-        bounds = np.asarray(bounds, dtype=np.int64)
         rows = np.array(member_rows, dtype=np.int64)  # a copy the MCs own
-        starts = bounds[:-1]
         centers = [mc.center_row for mc in mcs]
-        if bounds[-1] != rows.shape[0] or not np.array_equal(rows[starts], centers):
-            raise ValueError("each MC's member_rows must start with its center_row")
-        if not mcs:
-            return
-        member_points = np.take(np.asarray(points, dtype=np.float64), rows, axis=0)
-        lows = np.minimum.reduceat(member_points, starts, axis=0)
-        highs = np.maximum.reduceat(member_points, starts, axis=0)
-        # raw_to_point(member_points, center) row by row: member - center
-        # is formed first, then reduced exactly as there
-        from_center = member_points - member_points[np.repeat(starts, np.diff(bounds))]
-        raw = metric.raw_to_point(from_center, np.zeros(points.shape[1]))
-        in_ic = raw < metric.threshold(eps * 0.5)
-        ic_rows = rows[in_ic]
-        ic_bounds = np.r_[0, np.cumsum(in_ic)][bounds].tolist()
-        bounds = bounds.tolist()
+        member_points, lows, highs, ic_bounds, ic_rows = freeze_arrays(
+            points, centers, bounds, rows, eps, metric
+        )
+        bounds = np.asarray(bounds).tolist()
+        ic_bounds = ic_bounds.tolist()
         for i, mc in enumerate(mcs):
             lo, hi = bounds[i], bounds[i + 1]
             mc._pending_rows = None
@@ -198,3 +190,43 @@ class MicroCluster:
         if len(self) >= min_pts:
             return MCKind.CMC
         return MCKind.SMC
+
+
+def freeze_arrays(
+    points: np.ndarray,
+    center_rows: np.ndarray,
+    member_offsets: np.ndarray,
+    member_flat: np.ndarray,
+    eps: float,
+    metric: Metric = EUCLIDEAN,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The query-side arrays of every MC, derived from its member CSR.
+
+    MC ``i``'s members are ``member_flat[member_offsets[i]:member_offsets[i
+    + 1]]``, led by its center ``center_rows[i]``.  Returns
+    ``(member_points, mbr_low, mbr_high, ic_offsets, ic_flat)``: the
+    member coordinates in member order, each MC's tight member MBR as
+    ``(m, d)`` arrays, and the inner circle (members strictly within
+    ``eps / 2`` of the center, in member order) as a CSR.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    bounds = np.asarray(member_offsets, dtype=np.int64)
+    rows = np.asarray(member_flat, dtype=np.int64)
+    starts = bounds[:-1]
+    if bounds[-1] != rows.shape[0] or not np.array_equal(rows[starts], center_rows):
+        raise ValueError("each MC's member_rows must start with its center_row")
+    member_points = np.take(pts, rows, axis=0)
+    m, dim = starts.shape[0], pts.shape[1]
+    if m == 0:
+        empty = np.empty((0, dim))
+        return member_points, empty, empty.copy(), np.zeros(1, np.int64), rows[:0]
+    lows = np.minimum.reduceat(member_points, starts, axis=0)
+    highs = np.maximum.reduceat(member_points, starts, axis=0)
+    # raw_to_point(member_points, center) row by row: member - center
+    # is formed first, then reduced exactly as there
+    from_center = member_points - member_points[np.repeat(starts, np.diff(bounds))]
+    raw = metric.raw_to_point(from_center, np.zeros(dim))
+    in_ic = raw < metric.threshold(eps * 0.5)
+    ic_offsets = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(in_ic, out=ic_offsets[1:])
+    return member_points, lows, highs, ic_offsets[bounds], rows[in_ic]

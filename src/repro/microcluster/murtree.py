@@ -1,16 +1,22 @@
 """The two-level μR-tree (paper Fig. 1) and its restricted ε-queries.
 
-Level 1 is an R-tree over micro-clusters (boxes ``center ± eps``).
+The paper's level 1 is an R-tree over micro-clusters (boxes
+``center ± eps``).  Nothing here builds it: Algorithm 3 finds candidate
+centers and Algorithm 5 reachable MCs by grid joins over the centers
+(``repro.microcluster.builder``, ``repro.microcluster.reachability``),
+so the index is the MC structure itself, held as one set of flat arrays
+— the struct-of-arrays the served
+:class:`~repro.serving.model.FittedModel` stores (see :class:`MuRTree`).
 Level 2 answers ε-queries over each MC's reachable MCs in one of three
 ``aux_index`` modes: ``"cached"`` (the default) scans the MC's reach
 block, the concatenated members of its reachable MCs, in one vectorized
-pass; ``"flat"`` scans each reachable MC's contiguous coordinate block
-after per-point MBR filtration; ``"rtree"`` walks a per-MC AuxR-tree,
-the paper's structure.  With the paper's ``r`` in the tens to hundreds,
-a numpy distance pass over a block beats a Python-level tree walk, and
-the *search-space* reduction, which is what the design contributes, is
-the same.  All three modes return exactly the same neighborhoods; the
-test suite asserts it.
+pass; ``"flat"`` scans each reachable MC's slice of the member
+coordinates after per-point MBR filtration; ``"rtree"`` walks a per-MC
+AuxR-tree, the paper's structure.  With the paper's ``r`` in the tens to
+hundreds, a numpy distance pass over a block beats a Python-level tree
+walk, and the *search-space* reduction, which is what the design
+contributes, is the same.  All three modes return exactly the same
+neighborhoods; the test suite asserts it.
 
 A neighborhood query for point ``x ∈ MC(p)`` (paper §IV-B2):
 
@@ -26,12 +32,14 @@ import numpy as np
 
 from repro.geometry.distance import require_finite, sq_dists_to_point
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
-from repro.geometry.regions import point_rect_sq_dist
 from repro.index.grid import concat_ranges, neighbor_members
-from repro.index.rtree import RTree, PointRTree
+from repro.index.rtree import PointRTree
 from repro.instrumentation.counters import Counters
-from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE, build_micro_clusters
-from repro.microcluster.microcluster import MicroCluster
+from repro.microcluster.builder import (
+    DEFAULT_BUILDER_BLOCK_SIZE,
+    build_micro_cluster_arrays,
+)
+from repro.microcluster.microcluster import MCKind, MicroCluster, freeze_arrays
 from repro.microcluster.reachability import compute_reachable
 
 __all__ = ["MuRTree", "BlockQueryResult", "DEFAULT_BLOCK_SIZE", "DENSE_MIN_CANDIDATES"]
@@ -52,6 +60,12 @@ DEFAULT_BLOCK_SIZE = 1024
 #: thresholds 64 / 256 / 1,024 / none (flat waves only): median CPU
 #: seconds of 5 interleaved runs, 2-vCPU VM.
 DENSE_MIN_CANDIDATES = 256
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _flatten(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -153,6 +167,21 @@ class BlockQueryResult:
 class MuRTree:
     """Two-level micro-cluster index over a fixed dataset.
 
+    The MC structure is one set of read-only flat arrays, MC ``k`` being
+    row ``k`` of each, laid out as the served
+    :class:`~repro.serving.model.FittedModel` stores it (which shares
+    them): :attr:`point_mc`, each point's MC id; :attr:`center_rows`,
+    each MC's founding row; the member CSR :attr:`member_offsets` /
+    :attr:`member_flat` in assignment order, founder first, with
+    :attr:`member_points` the coordinates in that order; the tight member
+    MBRs :attr:`mbr_low` / :attr:`mbr_high` ``(m, d)``; the inner circle
+    (members strictly within ``eps / 2`` of the center) as the CSR
+    :attr:`ic_offsets` / :attr:`ic_flat`.  :meth:`compute_reachability`
+    adds the reach CSR :attr:`reach_offsets` / :attr:`reach_flat`
+    (reachable MC ids, ascending) and, in ``cached`` mode, the block CSR
+    :attr:`block_offsets` / :attr:`block_rows`.  Per-MC
+    :class:`MicroCluster` objects exist only as the :attr:`mcs` view.
+
     Parameters
     ----------
     points:
@@ -164,25 +193,17 @@ class MuRTree:
         concatenation of its reachable MCs' member rows, so every
         ε-query is a *single* vectorized distance pass — this is where
         the design's spatial locality pays off under numpy (reachable
-        sets are small and reused by every member of the MC).  The rows
-        of all blocks form one CSR (:attr:`reach_flat`,
-        :attr:`reach_offsets`); coordinates are copied for the dense
-        blocks only, and for any other block on first use.
-        ``"flat"``: per-reachable-MC vectorized scans with per-point
-        MBR filtration.  ``"rtree"``: per-MC AuxR-trees as in the
-        paper's Fig. 1.  All three return identical neighborhoods.
+        sets are small and reused by every member of the MC).
+        Coordinates are copied for the dense blocks only, and for any
+        other block on first use.  ``"flat"``: per-reachable-MC
+        vectorized scans with per-point MBR filtration.  ``"rtree"``:
+        per-MC STR-packed AuxR-trees as in the paper's Fig. 1.  All
+        three return identical neighborhoods.
     filtration:
         Per-point reachable-MC filtration (step 2 above).  ``False``
         scans every reachable MC (ablation 4 in DESIGN.md §5).
     defer_2eps:
         Passed to the builder (ablation 1).
-    aux_bulk:
-        ``aux_index="rtree"`` only: pack each AuxR-tree with the STR
-        bulk loader (default) instead of one-by-one Guttman inserts —
-        membership is final when the trees are built, so a static
-        packing is both faster and tighter.  ``False`` exercises the
-        dynamic insert path (and is what the index microbenchmark
-        compares against).
     builder_block_size:
         Rows per vectorized sweep block of Algorithm 3.
     """
@@ -195,12 +216,51 @@ class MuRTree:
         aux_index: str = "cached",
         filtration: bool = True,
         defer_2eps: bool = True,
-        max_entries: int = 64,
         counters: Counters | None = None,
         metric: str | Metric = EUCLIDEAN,
-        aux_bulk: bool = True,
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
     ) -> None:
+        self._configure(points, eps, aux_index, filtration, counters, metric)
+        self._set_members(
+            *build_micro_cluster_arrays(
+                self.points,
+                self.eps,
+                counters=self.counters,
+                defer_2eps=defer_2eps,
+                metric=self.metric,
+                block_size=builder_block_size,
+            )
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        points: np.ndarray,
+        eps: float,
+        point_mc: np.ndarray,
+        center_rows: np.ndarray,
+        member_offsets: np.ndarray,
+        member_flat: np.ndarray,
+        reach_offsets: np.ndarray | None = None,
+        reach_flat: np.ndarray | None = None,
+        *,
+        aux_index: str = "cached",
+        filtration: bool = True,
+        counters: Counters | None = None,
+        metric: str | Metric = EUCLIDEAN,
+    ) -> "MuRTree":
+        """Wrap an MC structure built elsewhere, in the layout above:
+        a loaded model's stored arrays (``FittedModel.murtree``), or the
+        flattened result of the reference pipeline's per-point scan.
+        With the reach CSR given, Algorithm 5 never runs."""
+        self = cls.__new__(cls)
+        self._configure(points, eps, aux_index, filtration, counters, metric)
+        self._set_members(point_mc, center_rows, member_offsets, member_flat)
+        if reach_offsets is not None:
+            self._set_reach(reach_offsets, reach_flat)
+        return self
+
+    def _configure(self, points, eps, aux_index, filtration, counters, metric) -> None:
         self.metric = get_metric(metric)
         _check_aux_index(aux_index, self.metric)
         self.points = np.ascontiguousarray(points, dtype=np.float64)
@@ -213,81 +273,43 @@ class MuRTree:
         self.aux_index = aux_index
         self.filtration = filtration
         self.counters = counters if counters is not None else Counters()
+        self.reach_offsets = self.reach_flat = None
+        self.block_offsets = self.block_rows = None
+        #: the dense blocks' coordinates, MC ``k``'s at
+        #: ``dense_coords[dense_offsets[k]:dense_offsets[k + 1]]``
+        self.dense_coords = self.dense_offsets = None
+        self._block_copies: dict[int, np.ndarray] = {}  # the other blocks'
+        self._aux_trees: list[PointRTree] | None = None
+        self._mcs: list[MicroCluster] | None = None
 
-        self.mcs: list[MicroCluster]
-        self.level1: RTree
-        self.point_mc: np.ndarray
-        self.mcs, self.level1, self.point_mc = build_micro_clusters(
-            self.points,
-            self.eps,
-            max_entries=max_entries,
-            counters=self.counters,
-            defer_2eps=defer_2eps,
-            metric=self.metric,
-            block_size=builder_block_size,
+    def _set_members(self, point_mc, center_rows, member_offsets, member_flat) -> None:
+        ids = (point_mc, center_rows, member_offsets, member_flat)
+        self.point_mc, self.center_rows, self.member_offsets, self.member_flat = (
+            _read_only(*(np.asarray(a, dtype=np.int64) for a in ids))
         )
-        if aux_index == "rtree":
-            for mc in self.mcs:
-                assert mc.member_rows is not None and mc.member_points is not None
-                mc.aux_tree = PointRTree(
-                    mc.member_points,
-                    ids=mc.member_rows,
+        derived = freeze_arrays(
+            self.points, self.center_rows, self.member_offsets, self.member_flat,
+            self.eps, self.metric,
+        )
+        self.member_points, self.mbr_low, self.mbr_high, self.ic_offsets, self.ic_flat = (
+            _read_only(*derived)
+        )
+        if self.aux_index == "rtree":
+            bounds = self.member_offsets.tolist()
+            self._aux_trees = [
+                PointRTree(
+                    self.member_points[lo:hi],
+                    ids=self.member_flat[lo:hi],
                     counters=self.counters,
-                    bulk=aux_bulk,
                 )
-        self._reachable_done = False
-        self.reach_flat: np.ndarray | None = None
-        self.reach_offsets: np.ndarray | None = None
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
 
-    @classmethod
-    def from_prebuilt(
-        cls,
-        points: np.ndarray,
-        eps: float,
-        mcs: list[MicroCluster],
-        level1: RTree,
-        point_mc: np.ndarray,
-        *,
-        aux_index: str = "cached",
-        filtration: bool = True,
-        counters: Counters | None = None,
-        metric: str | Metric = EUCLIDEAN,
-    ) -> "MuRTree":
-        """Wrap micro-clusters and a first-level tree built elsewhere.
-
-        A loaded model restores them from its artifact instead of
-        re-running Algorithm 3 (``repro.serving.model``), and the
-        reference pipeline builds them with the paper's per-point scan
-        (``repro.validation.reference``).  Every MC must already be
-        frozen.
-        """
-        self = cls.__new__(cls)
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.metric = get_metric(metric)
-        _check_aux_index(aux_index, self.metric)
-        self.eps = float(eps)
-        self.aux_index = aux_index
-        self.filtration = filtration
-        self.counters = counters if counters is not None else Counters()
-        self.mcs = mcs
-        self.level1 = level1
-        self.point_mc = np.asarray(point_mc, dtype=np.int64)
-        if any(not mc.frozen for mc in mcs):
-            raise ValueError("all micro-clusters must be frozen")
-        if aux_index == "rtree":
-            for mc in self.mcs:
-                if mc.aux_tree is None:
-                    mc.aux_tree = PointRTree(
-                        mc.member_points, ids=mc.member_rows, counters=self.counters
-                    )
-        # reach lists may be pre-populated by the caller;
-        # compute_reachability() computes them only when some are missing
-        self._reachable_done = all(mc.reach_ids is not None for mc in mcs)
-        self.reach_flat = None
-        self.reach_offsets = None
-        return self
+    def _set_reach(self, reach_offsets: np.ndarray, reach_flat: np.ndarray) -> None:
+        self.reach_offsets, self.reach_flat = _read_only(
+            np.asarray(reach_offsets, dtype=np.int64), np.asarray(reach_flat, dtype=np.int64)
+        )
+        self._mcs = None
 
     # ------------------------------------------------------------------
 
@@ -296,93 +318,132 @@ class MuRTree:
 
     @property
     def n_micro_clusters(self) -> int:
-        return len(self.mcs)
+        return int(self.center_rows.shape[0])
 
     @property
     def avg_mc_size(self) -> float:
         """The paper's ``r`` — average points per micro-cluster."""
-        if not self.mcs:
-            return 0.0
-        return len(self) / len(self.mcs)
+        return len(self) / self.n_micro_clusters if self.n_micro_clusters else 0.0
+
+    @property
+    def _reachable_done(self) -> bool:
+        return self.reach_offsets is not None
+
+    def member_rows(self, mc_id: int) -> np.ndarray:
+        """Member rows of MC ``mc_id``, founder first."""
+        return self.member_flat[self.member_offsets[mc_id] : self.member_offsets[mc_id + 1]]
+
+    def reach_ids(self, mc_id: int) -> np.ndarray:
+        """Reachable MC ids of MC ``mc_id``, ascending."""
+        if self.reach_offsets is None:
+            raise RuntimeError("call compute_reachability() before querying")
+        return self.reach_flat[self.reach_offsets[mc_id] : self.reach_offsets[mc_id + 1]]
+
+    def reach_block(self, mc_id: int) -> np.ndarray:
+        """Rows of MC ``mc_id``'s reach block (``cached`` mode)."""
+        if self.block_offsets is None:
+            raise RuntimeError("call compute_reachability() before querying")
+        return self.block_rows[self.block_offsets[mc_id] : self.block_offsets[mc_id + 1]]
+
+    def mc_kinds(self, min_pts: int) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the DMCs (``|IC| >= min_pts``) and CMCs (the others
+        with ``|MC| >= min_pts``) over MC ids; the rest are SMCs."""
+        dmc = np.diff(self.ic_offsets) >= min_pts
+        return dmc, ~dmc & (np.diff(self.member_offsets) >= min_pts)
+
+    def kind_counts(self, min_pts: int) -> dict[str, int]:
+        """DMC/CMC/SMC split of the micro-clusters (paper Fig. 2)."""
+        dmc, cmc = (int(np.count_nonzero(k)) for k in self.mc_kinds(min_pts))
+        smc = self.n_micro_clusters - dmc - cmc
+        return {MCKind.DMC.name: dmc, MCKind.CMC.name: cmc, MCKind.SMC.name: smc}
+
+    @property
+    def mcs(self) -> list[MicroCluster]:
+        """Frozen per-MC objects over the arrays, for inspection.
+
+        Built on first read and kept until :meth:`compute_reachability`
+        changes the reach state; ``reach_ids`` is set once Algorithm 5
+        ran, ``reach_rows`` once the reach blocks are laid out, and
+        ``aux_tree`` in ``rtree`` mode.  No fit step reads them."""
+        if self._mcs is None:
+            pts = self.points
+            rows = self.center_rows.tolist()
+            self._mcs = [MicroCluster(k, row, pts[row]) for k, row in enumerate(rows)]
+            MicroCluster.freeze_batch(
+                self._mcs, self.member_flat, self.member_offsets, pts, self.eps, self.metric
+            )
+            for k, mc in enumerate(self._mcs):
+                if self.reach_offsets is not None:
+                    mc.reach_ids = self.reach_ids(k)
+                if self.block_offsets is not None:
+                    lo, hi = self.dense_offsets[k], self.dense_offsets[k + 1]
+                    dense = self.dense_coords[lo:hi] if hi > lo else None
+                    mc.set_reach_rows(self.reach_block(k), pts, dense)
+                if self._aux_trees is not None:
+                    mc.aux_tree = self._aux_trees[k]
+        return self._mcs
 
     def compute_reachability(self) -> None:
-        """Populate every MC's reachable list (Algorithm 5); idempotent.
+        """Compute the reach CSR (Algorithm 5) unless it is set; idempotent.
 
         In ``cached`` mode this also lays out every MC's reach block —
         the concatenated member rows of its reachable MCs — as one CSR,
-        :attr:`reach_flat` cut by :attr:`reach_offsets` (MC ``i``'s rows
-        are ``reach_flat[reach_offsets[i]:reach_offsets[i + 1]]``), with
-        each ``mc.reach_rows`` a view into it.  Only the blocks of at
-        least :data:`DENSE_MIN_CANDIDATES` rows, whose MCs Algorithm 6
-        answers per MC, get their coordinates (``mc.reach_points``)
-        copied here, all in one gather; any other block is copied on
-        first read (by :meth:`query_ball` or :meth:`query_ball_block`),
-        so the small blocks of sparse data hold no copy.  When every
-        MC's reach list is already set (a prebuilt tree's, or the
-        reference pipeline's tree probe), only this layout runs."""
-        if not self._reachable_done and any(mc.reach_ids is None for mc in self.mcs):
-            compute_reachable(self.mcs, self.eps, self.counters, metric=self.metric)
-        self._reachable_done = True
-        if self.aux_index == "cached" and self.reach_offsets is None:
+        :attr:`block_rows` cut by :attr:`block_offsets`.  Only the blocks
+        of at least :data:`DENSE_MIN_CANDIDATES` rows, whose MCs
+        Algorithm 6 answers per MC, get their coordinates copied here
+        (:attr:`dense_coords`), all in one gather; any other block is
+        copied on first read (by :meth:`query_ball` or
+        :meth:`query_ball_block`), so the small blocks of sparse data
+        hold no copy."""
+        if self.reach_offsets is None:
+            centers = np.take(self.points, self.center_rows, axis=0)
+            self._set_reach(
+                *compute_reachable(centers, self.eps, self.counters, metric=self.metric)
+            )
+        if self.aux_index == "cached" and self.block_offsets is None:
             self._lay_out_reach_blocks()
+            self._mcs = None
 
     def _lay_out_reach_blocks(self) -> None:
-        """Build the reach CSR with one gather through the member lists."""
-        mcs = self.mcs
-        m = len(mcs)
-        sizes = np.fromiter((mc.member_rows.shape[0] for mc in mcs), np.int64, m)
-        n_reach = np.fromiter((mc.reach_ids.shape[0] for mc in mcs), np.int64, m)
-        member_start = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=member_start[1:])
-        reach_start = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(n_reach, out=reach_start[1:])
-        self.reach_offsets, self.reach_flat = neighbor_members(
-            reach_start,
-            _flatten([mc.reach_ids for mc in mcs], np.int64),
-            member_start[:-1],
-            sizes,
-            _flatten([mc.member_rows for mc in mcs], np.int64),
+        """Build the block CSR with one gather through the member CSR."""
+        self.block_offsets, self.block_rows = neighbor_members(
+            self.reach_offsets,
+            self.reach_flat,
+            self.member_offsets[:-1],
+            np.diff(self.member_offsets),
+            self.member_flat,
         )
-        # dense blocks get their coordinates now, from one gather, each
-        # block a view into it
-        length = np.diff(self.reach_offsets)
+        length = np.diff(self.block_offsets)
         dense = length >= DENSE_MIN_CANDIDATES
-        coords = np.take(
-            self.points,
-            np.take(
-                self.reach_flat,
-                concat_ranges(self.reach_offsets[:-1][dense], length[dense]),
-            ),
-            axis=0,
-        )
-        coord_start = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.where(dense, length, 0), out=coord_start[1:])
-        bounds = self.reach_offsets.tolist()
-        coord_bounds = coord_start.tolist()
-        for i, (mc, is_dense) in enumerate(zip(mcs, dense.tolist())):
-            mc.set_reach_rows(
-                self.reach_flat[bounds[i] : bounds[i + 1]],
-                self.points,
-                coords[coord_bounds[i] : coord_bounds[i + 1]] if is_dense else None,
-            )
+        at = concat_ranges(self.block_offsets[:-1][dense], length[dense])
+        self.dense_coords = np.take(self.points, self.block_rows[at], axis=0)
+        self.dense_offsets = np.zeros(length.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.where(dense, length, 0), out=self.dense_offsets[1:])
+        _read_only(self.block_offsets, self.block_rows, self.dense_coords, self.dense_offsets)
+
+    def _block_points(self, mc_id: int) -> np.ndarray:
+        """Coordinates of MC ``mc_id``'s reach block: a view into the
+        dense gather, or a private copy made on first use."""
+        lo, hi = self.dense_offsets[mc_id], self.dense_offsets[mc_id + 1]
+        if hi > lo:
+            return self.dense_coords[lo:hi]
+        if mc_id not in self._block_copies:
+            self._block_copies[mc_id] = np.take(self.points, self.reach_block(mc_id), axis=0)
+        return self._block_copies[mc_id]
 
     # ------------------------------------------------------------------
     # queries
 
     def _filtered_reach(self, x: np.ndarray, mc_id: int, radius: float) -> list[int]:
         """Reachable MCs of ``mc_id`` whose member-MBR the ball can touch."""
-        mc = self.mcs[mc_id]
-        if mc.reach_ids is None:
-            raise RuntimeError("call compute_reachability() before querying")
+        reach = self.reach_ids(mc_id).tolist()
         if not self.filtration:
-            return [int(w) for w in mc.reach_ids]
+            return reach
         out: list[int] = []
         limit = self.metric.threshold(radius)
-        for w in mc.reach_ids:
-            other = self.mcs[int(w)]
-            assert other.mbr_low is not None and other.mbr_high is not None
-            if self.metric.raw_point_rect(x, other.mbr_low, other.mbr_high) <= limit:
-                out.append(int(w))
+        for w in reach:
+            if self.metric.raw_point_rect(x, self.mbr_low[w], self.mbr_high[w]) <= limit:
+                out.append(w)
             else:
                 self.counters.add_extra("filtration_prunes")
         return out
@@ -407,21 +468,17 @@ class MuRTree:
         mc_id = int(self.point_mc[row])
         r_raw = self.metric.threshold(radius)
         if self.aux_index == "cached":
-            mc = self.mcs[mc_id]
-            if mc.reach_points is None:
-                raise RuntimeError("call compute_reachability() before querying")
-            self.counters.dist_calcs += int(mc.reach_rows.shape[0])
-            raw = self.metric.raw_to_point(mc.reach_points, x)
+            cand = self.reach_block(mc_id)
+            self.counters.dist_calcs += int(cand.shape[0])
+            raw = self.metric.raw_to_point(self._block_points(mc_id), x)
             mask = raw < r_raw
-            return mc.reach_rows[mask], raw[mask]
+            return cand[mask], raw[mask]
         keep = self._filtered_reach(x, mc_id, radius)
         rows_parts: list[np.ndarray] = []
         sq_parts: list[np.ndarray] = []
         if self.aux_index == "rtree":
             for w in keep:
-                tree = self.mcs[w].aux_tree
-                assert tree is not None
-                hits = tree.query_ball(x, radius)
+                hits = self._aux_trees[w].query_ball(x, radius)
                 if hits.size:
                     rows_parts.append(hits)
             if not rows_parts:
@@ -431,14 +488,14 @@ class MuRTree:
             # already counted its candidate distance work
             sq = sq_dists_to_point(self.points[rows], x)
             return rows, sq
+        bounds = self.member_offsets
         for w in keep:
-            other = self.mcs[w]
-            assert other.member_points is not None and other.member_rows is not None
-            self.counters.dist_calcs += int(other.member_rows.shape[0])
-            raw = self.metric.raw_to_point(other.member_points, x)
+            lo, hi = bounds[w], bounds[w + 1]
+            self.counters.dist_calcs += int(hi - lo)
+            raw = self.metric.raw_to_point(self.member_points[lo:hi], x)
             mask = raw < r_raw
             if mask.any():
-                rows_parts.append(other.member_rows[mask])
+                rows_parts.append(self.member_flat[lo:hi][mask])
                 sq_parts.append(raw[mask])
         if not rows_parts:
             return np.empty(0, dtype=np.int64), np.empty(0)
@@ -521,11 +578,8 @@ class MuRTree:
                 )
             return self._query_ball_block_fallback(rows_arr, radius, h_raw)
 
-        mc = self.mcs[mc_id]
-        if mc.reach_points is None:
-            raise RuntimeError("call compute_reachability() before querying")
-        cand_rows = mc.reach_rows
-        cand_pts = mc.reach_points
+        cand_rows = self.reach_block(mc_id)
+        cand_pts = self._block_points(mc_id)
         per_row_cost = int(cand_rows.shape[0])
         if count_work:
             self.counters.dist_calcs += rows_arr.size * per_row_cost
@@ -600,13 +654,8 @@ class MuRTree:
         x = self.points[row]
         mc_id = int(self.point_mc[row])
         if self.aux_index == "cached":
-            mc = self.mcs[mc_id]
-            if mc.reach_rows is None:
-                raise RuntimeError("call compute_reachability() before querying")
-            return mc.reach_rows
+            return self.reach_block(mc_id)
         keep = self._filtered_reach(x, mc_id, self.eps)
-        parts = [self.mcs[w].member_rows for w in keep]
-        parts = [p for p in parts if p is not None and p.size]
-        if not parts:
+        if not keep:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return np.concatenate([self.member_rows(w) for w in keep])

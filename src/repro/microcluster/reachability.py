@@ -17,7 +17,6 @@ from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.regions import sphere_intersects_rects_block
 from repro.index.grid import hash_cells, neighbor_cells, neighbor_members
 from repro.instrumentation.counters import Counters
-from repro.microcluster.microcluster import MicroCluster
 
 __all__ = ["compute_reachable"]
 
@@ -27,35 +26,39 @@ _JOIN_TEMP_ELEMS = 1 << 19
 
 
 def compute_reachable(
-    mcs: list[MicroCluster],
+    centers: np.ndarray,
     eps: float,
     counters: Counters | None = None,
     metric: Metric = EUCLIDEAN,
-) -> None:
-    """Populate ``mc.reach_ids`` for every MC (ids sorted ascending).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reachable MCs of every MC, given the ``(m, d)`` MC centers.
 
-    A spatial join over a uniform grid of the centers; the first-level
-    tree is not read.  The paper probes that tree once per MC, and the
-    probe's candidate set is exactly the set of ``center ± eps`` boxes the ball
-    ``B(center, 3 eps · cover)`` touches (internal-node pruning never
-    rejects a hit leaf), and a box can only be touched when
-    ``|Δ| <= 3 eps · cover + eps`` on every axis.  Hashing the centers
-    into cells slightly wider than that bound therefore puts every hit
-    pair in the same or adjacent cells, so each occupied cell replays the
-    tree's ball-vs-box predicate and the exact ``<= 3 eps`` test on the
-    centers of its neighbouring cells only — a superset of its hits.
-    ``dist_calcs`` and the sorted ``reach_ids`` come out identical to
-    the paper's per-MC tree probe (kept in
+    Returns the CSR ``(reach_offsets, reach_flat)``: MC ``i``'s
+    reachable MC ids are ``reach_flat[reach_offsets[i]:reach_offsets[i
+    + 1]]``, sorted ascending.
+
+    A spatial join over a uniform grid of the centers; the paper's
+    first-level tree is not needed.  The paper probes that tree once per
+    MC, and the probe's candidate set is exactly the set of
+    ``center ± eps`` boxes the ball ``B(center, 3 eps · cover)`` touches
+    (internal-node pruning never rejects a hit leaf), and a box can only
+    be touched when ``|Δ| <= 3 eps · cover + eps`` on every axis.
+    Hashing the centers into cells slightly wider than that bound
+    therefore puts every hit pair in the same or adjacent cells, so each
+    occupied cell replays the tree's ball-vs-box predicate and the exact
+    ``<= 3 eps`` test on the centers of its neighbouring cells only — a
+    superset of its hits.  ``dist_calcs`` and the lists come out
+    identical to the paper's per-MC tree probe (kept in
     :mod:`repro.validation.reference`), in time proportional to the
     candidate pairs rather than ``m²``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     counters = counters if counters is not None else Counters()
-    m = len(mcs)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    m = centers.shape[0]
     if m == 0:
-        return
-    centers = np.ascontiguousarray(np.stack([mc.center for mc in mcs]))
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
     d = centers.shape[1]
     radius = 3.0 * eps * metric.l2_cover_factor(d)
     limit_raw = metric.threshold(3.0 * eps)
@@ -92,7 +95,5 @@ def compute_reachable(
     src_all = np.concatenate(src)
     dst_all = np.concatenate(dst)
     order = np.lexsort((dst_all, src_all))
-    reach = dst_all[order].astype(np.int64)
-    bounds = np.searchsorted(src_all[order], np.arange(m + 1)).tolist()
-    for mc, lo, hi in zip(mcs, bounds[:-1], bounds[1:]):
-        mc.reach_ids = reach[lo:hi]
+    reach_offsets = np.searchsorted(src_all[order], np.arange(m + 1))
+    return reach_offsets, dst_all[order].astype(np.int64)

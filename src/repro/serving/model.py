@@ -42,11 +42,8 @@ from repro.core.mudbscan import run_mu_dbscan_state
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
-from repro.index.bulk import str_bulk_load
-from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
-from repro.microcluster.microcluster import MCKind, MicroCluster
 from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
@@ -93,18 +90,6 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _csr(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a ragged list of int arrays as (offsets, flat)."""
-    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([p.shape[0] for p in parts], out=offsets[1:])
-    flat = (
-        np.concatenate(parts).astype(np.int64)
-        if parts
-        else np.empty(0, dtype=np.int64)
-    )
-    return offsets, flat
-
-
 @dataclass
 class FittedModel:
     """Frozen, serializable artifact of one μDBSCAN fit.
@@ -118,8 +103,8 @@ class FittedModel:
         ``(m,)`` dataset row of each MC's center, in MC-id order.
     member_offsets / member_flat:
         CSR encoding of each MC's member rows (builder order preserved,
-        so the rebuilt index answers queries in the same neighbor order
-        as the fit-time one).
+        founder first — the layout of the fit index's store, which
+        :attr:`murtree` wraps as it is).
     reach_offsets / reach_flat:
         CSR encoding of each MC's reachable-MC id list (Algorithm 5
         output — stored so the μR-tree view never re-derives it;
@@ -188,29 +173,21 @@ class FittedModel:
         algorithm: str = "mu_dbscan",
         extras: dict[str, Any] | None = None,
     ) -> "FittedModel":
-        """Snapshot a finished :class:`MuDBSCANState` into an artifact."""
+        """Snapshot a finished :class:`MuDBSCANState` into an artifact.
+
+        The MC arrays are the fit index's own (read-only) store arrays,
+        shared, not copied."""
         murtree: MuRTree = state.murtree
-        labels = state.uf.labels(noise_mask=state.final_noise_mask())
-        members = []
-        reaches = []
-        for mc in murtree.mcs:
-            assert mc.member_rows is not None and mc.reach_ids is not None
-            members.append(mc.member_rows)
-            reaches.append(mc.reach_ids)
-        member_offsets, member_flat = _csr(members)
-        reach_offsets, reach_flat = _csr(reaches)
         return cls(
             points=murtree.points,
-            labels=labels,
+            labels=state.uf.labels(noise_mask=state.final_noise_mask()),
             core_mask=state.core.copy(),
             point_mc=murtree.point_mc,
-            center_rows=np.asarray(
-                [mc.center_row for mc in murtree.mcs], dtype=np.int64
-            ),
-            member_offsets=member_offsets,
-            member_flat=member_flat,
-            reach_offsets=reach_offsets,
-            reach_flat=reach_flat,
+            center_rows=murtree.center_rows,
+            member_offsets=murtree.member_offsets,
+            member_flat=murtree.member_flat,
+            reach_offsets=murtree.reach_offsets,
+            reach_flat=murtree.reach_flat,
             params=state.params,
             metric_name=murtree.metric.name,
             algorithm=algorithm,
@@ -383,65 +360,36 @@ class FittedModel:
 
     @property
     def murtree(self) -> MuRTree:
-        """A μR-tree view of the stored state, rebuilt lazily.
+        """A μR-tree view of the stored state, built lazily.
 
         Prediction never reads it: it is the fit's index structure,
         kept for inspection (:meth:`mc_kind_counts`) and for the
-        round-trip tests.  Reconstruction replays nothing: MC
-        membership comes from the stored CSR lists, the level-1 tree
-        is STR-packed over the stored ``center ± eps`` boxes, and the
-        reachability lists are restored verbatim — so
+        round-trip tests.  It wraps the stored arrays with
+        :meth:`MuRTree.from_arrays` and replays nothing: MC membership
+        and the reachability lists are the stored CSRs, so
         ``serving_counters.micro_clusters`` stays 0 (Algorithm 3 never
         runs) and ``compute_reachability`` computes no distance
-        (Algorithm 5 never runs).  No MC gets a reach block.
+        (Algorithm 5 never runs).  No reach block is laid out until
+        ``compute_reachability`` is called.
         """
         if self._murtree is None:
-            self._murtree = self._rebuild_murtree()
-        return self._murtree
-
-    def _rebuild_murtree(self) -> MuRTree:
-        eps = self.params.eps
-        metric = self.metric
-        mcs = [
-            MicroCluster(mc_id, row, self.points[row])
-            for mc_id, row in enumerate(self.center_rows.tolist())
-        ]
-        # restore the exact builder-order membership and rematerialise
-        # the derived views (coords, MBR, inner circle) — vectorized
-        # numpy work, not Algorithm 3
-        MicroCluster.freeze_batch(
-            mcs, self.member_flat, self.member_offsets, self.points, eps, metric=metric
-        )
-        # the stored reach lists only, no reach blocks
-        for mc in mcs:
-            mc.reach_ids = self.reach_ids(mc.mc_id).copy()
-        dim = max(self.dim, 1)
-        level1 = RTree(dim, max_entries=64, counters=self.serving_counters)
-        if mcs:
-            centers = np.stack([mc.center for mc in mcs])
-            str_bulk_load(
-                level1,
-                centers - eps,
-                centers + eps,
-                payloads=np.arange(len(mcs), dtype=np.int64),
+            self._murtree = MuRTree.from_arrays(
+                self.points,
+                self.params.eps,
+                self.point_mc,
+                self.center_rows,
+                self.member_offsets,
+                self.member_flat,
+                self.reach_offsets,
+                self.reach_flat,
+                counters=self.serving_counters,
+                metric=self.metric,
             )
-        return MuRTree.from_prebuilt(
-            self.points,
-            eps,
-            mcs,
-            level1,
-            self.point_mc,
-            aux_index="cached",
-            counters=self.serving_counters,
-            metric=metric,
-        )
+        return self._murtree
 
     def mc_kind_counts(self) -> dict[str, int]:
         """DMC/CMC/SMC split of the stored micro-clusters."""
-        counts = {kind.name: 0 for kind in MCKind}
-        for mc in self.murtree.mcs:
-            counts[mc.kind(self.params.min_pts).name] += 1
-        return counts
+        return self.murtree.kind_counts(self.params.min_pts)
 
     # ------------------------------------------------------------------
     # persistence
@@ -449,18 +397,7 @@ class FittedModel:
     def to_bytes(self) -> bytes:
         """Serialize to the versioned binary container."""
         buf = io.BytesIO()
-        np.savez_compressed(
-            buf,
-            points=self.points,
-            labels=self.labels,
-            core_mask=self.core_mask,
-            point_mc=self.point_mc,
-            center_rows=self.center_rows,
-            member_offsets=self.member_offsets,
-            member_flat=self.member_flat,
-            reach_offsets=self.reach_offsets,
-            reach_flat=self.reach_flat,
-        )
+        np.savez_compressed(buf, **self.array_fields())
         payload = buf.getvalue()
         header = {
             "format_version": FORMAT_VERSION,
@@ -517,32 +454,7 @@ class FittedModel:
                 arrays = {name: npz[name] for name in npz.files}
         except Exception as exc:  # zipfile/np.load raise various types
             raise ModelFormatError(f"unreadable payload: {exc}") from exc
-        required = (
-            "points", "labels", "core_mask", "point_mc", "center_rows",
-            "member_offsets", "member_flat", "reach_offsets", "reach_flat",
-        )
-        missing = [name for name in required if name not in arrays]
-        if missing:
-            raise ModelFormatError(f"payload is missing arrays: {missing}")
-        return cls(
-            points=arrays["points"],
-            labels=arrays["labels"],
-            core_mask=arrays["core_mask"],
-            point_mc=arrays["point_mc"],
-            center_rows=arrays["center_rows"],
-            member_offsets=arrays["member_offsets"],
-            member_flat=arrays["member_flat"],
-            reach_offsets=arrays["reach_offsets"],
-            reach_flat=arrays["reach_flat"],
-            params=DBSCANParams(
-                eps=float(header["eps"]), min_pts=int(header["min_pts"])
-            ),
-            metric_name=str(header.get("metric", "euclidean")),
-            algorithm=str(header.get("algorithm", "mu_dbscan")),
-            counters=Counters.from_dict(header.get("counters", {})),
-            extras=dict(header.get("extras", {})),
-            meta=dict(header.get("meta", {})),
-        )
+        return cls.from_arrays(arrays, header)
 
     def save(self, path: str | Path) -> Path:
         """Write the artifact to ``path`` (atomic rename)."""
@@ -608,14 +520,11 @@ def fit_model(
         )
     publish_run(get_registry(), counters, timers, algorithm="mu_dbscan")
     murtree = state.murtree
-    kind_counts = {kind.name: 0 for kind in MCKind}
-    for mc in murtree.mcs:
-        kind_counts[mc.kind(params.min_pts).name] += 1
     extras = {
         ExtraKeys.N_MICRO_CLUSTERS: murtree.n_micro_clusters,
         ExtraKeys.AVG_MC_SIZE: murtree.avg_mc_size,
         ExtraKeys.N_WNDQ_CORE: len(state.wndq_corelist),
-        ExtraKeys.MC_KIND_COUNTS: kind_counts,
+        ExtraKeys.MC_KIND_COUNTS: murtree.kind_counts(params.min_pts),
         ExtraKeys.METRIC: murtree.metric.name,
         ExtraKeys.FIT_SECONDS: timers.total(),
     }

@@ -56,11 +56,15 @@ from repro.core.result import ClusteringResult
 from repro.geometry.distance import require_finite
 from repro.geometry.metrics import Metric, get_metric
 from repro.index.bulk import str_bulk_load
+from repro.index.grid import csr_from_parts
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
-from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE, build_micro_clusters
-from repro.microcluster.microcluster import MCKind
+from repro.microcluster.builder import (
+    DEFAULT_BUILDER_BLOCK_SIZE,
+    build_micro_cluster_arrays,
+)
+from repro.microcluster.microcluster import MCKind, freeze_arrays
 from repro.microcluster.reachability import compute_reachable
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
@@ -546,24 +550,31 @@ class StreamingMuDBSCAN:
         self.partial_fit(batch)
 
     def _seed_structure(self, pts: np.ndarray) -> None:
-        """First batch: vectorized Algorithm 3 via the batch builder."""
-        mcs, tree, point_mc = build_micro_clusters(
+        """First batch: the batch fit's Algorithms 3 and 5, its arrays
+        split into the maintained per-MC lists."""
+        eps = self.params.eps
+        point_mc, center_rows, member_offsets, member_flat = build_micro_cluster_arrays(
             pts,
-            self.params.eps,
-            max_entries=self.max_entries,
+            eps,
             counters=self.counters,
             metric=self.metric,
             block_size=self.builder_block_size,
         )
-        compute_reachable(mcs, self.params.eps, self.counters, self.metric)
-        self._tree = tree
+        centers = np.take(pts, center_rows, axis=0)
+        reach_offsets, reach_flat = compute_reachable(
+            centers, eps, self.counters, self.metric
+        )
+        ic_offsets = freeze_arrays(
+            pts, center_rows, member_offsets, member_flat, eps, self.metric
+        )[3]
         self._point_mc[: pts.shape[0]] = point_mc
-        self._members = [list(map(int, mc.member_rows)) for mc in mcs]
-        self._centers = [np.array(mc.center, dtype=np.float64) for mc in mcs]
-        self._center_rows = [int(mc.center_row) for mc in mcs]
-        self._reach_ids = [sorted(map(int, mc.reach_ids)) for mc in mcs]
-        self._mc_alive = [True] * len(mcs)
-        self._n_ic = [int(mc.ic_rows.shape[0]) for mc in mcs]
+        self._members = _split(member_offsets, member_flat)
+        self._centers = list(centers)
+        self._center_rows = center_rows.tolist()
+        self._reach_ids = _split(reach_offsets, reach_flat)
+        self._mc_alive = [True] * len(self._center_rows)
+        self._n_ic = np.diff(ic_offsets).tolist()
+        self._rebuild_level1()
 
     def _absorb(self, new_rows: np.ndarray, pts: np.ndarray) -> None:
         """Fold freshly assigned rows into counts / cores / components."""
@@ -1033,8 +1044,8 @@ class StreamingMuDBSCAN:
                 )
             )
             center_rows[i] = remap[center]
-        member_offsets, member_flat = _csr(members)
-        reach_offsets, reach_flat = _csr(reaches)
+        member_offsets, member_flat = csr_from_parts(members)
+        reach_offsets, reach_flat = csr_from_parts(reaches)
         labels = self.labels_
         counters = Counters()
         counters.merge(self.counters)
@@ -1073,14 +1084,12 @@ class StreamingMuDBSCAN:
         )
 
 
-def _csr(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-    for i, p in enumerate(parts):
-        offsets[i + 1] = offsets[i] + p.shape[0]
-    flat = (
-        np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
-    return offsets, flat
+def _split(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
+    """A CSR as one Python list per row."""
+    bounds = offsets.tolist()
+    values = flat.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
 
 
 class IncrementalMuDBSCAN(StreamingMuDBSCAN):

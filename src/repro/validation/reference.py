@@ -13,7 +13,9 @@ replaced, so tests and the perf gate can compare against it:
   ``rtree`` aux modes also run in production.
 
 :func:`reference_state` composes them with the production Algorithms 4,
-7 and 8 through :meth:`~repro.microcluster.murtree.MuRTree.from_prebuilt`.
+7 and 8: the scan's objects, flattened to the member CSR, and the
+probe's reach CSR go through
+:meth:`~repro.microcluster.murtree.MuRTree.from_arrays`.
 Its labels, core mask, ``point_mc``, MC member order and every work
 counter equal production's (``tests/test_builder.py``,
 ``tests/test_batched_equivalence.py``).  No production module imports
@@ -32,6 +34,7 @@ from repro.core.remaining import _process_per_point
 from repro.core.result import ClusteringResult
 from repro.core.state import MuDBSCANState
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
+from repro.index.grid import csr_from_parts
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
@@ -164,33 +167,32 @@ def build_micro_clusters_scan(
 
 
 def compute_reachable_probe(
-    mcs: list[MicroCluster],
+    centers: np.ndarray,
     tree: RTree,
     eps: float,
     counters: Counters | None = None,
     metric: Metric = EUCLIDEAN,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 5 as the paper's per-MC probe of the first-level tree.
 
     The tree shortlists the MCs whose ``center ± eps`` box touches the
     ball ``B(center, 3 eps)``, then the exact ``<= 3 eps``
-    center-distance test keeps the reachable ones.  Same ``reach_ids``
-    and ``dist_calcs`` as
+    center-distance test keeps the reachable ones.  Same reach CSR and
+    ``dist_calcs`` as
     :func:`~repro.microcluster.reachability.compute_reachable`.
     """
     counters = counters if counters is not None else Counters()
     limit_raw = metric.threshold(3.0 * eps)
-    for mc in mcs:
-        cover = metric.l2_cover_factor(mc.center.shape[0])
-        cand = np.asarray(
-            tree.query_ball_candidates(mc.center, 3.0 * eps * cover), dtype=np.int64
-        )
+    radius = 3.0 * eps * metric.l2_cover_factor(centers.shape[1])
+    lists = []
+    for center in centers:
+        cand = np.asarray(tree.query_ball_candidates(center, radius), dtype=np.int64)
         # the MC's own box always contains the probe's center
-        centers = np.stack([mcs[int(c)].center for c in cand])
         counters.dist_calcs += int(cand.shape[0])
-        reach = cand[metric.raw_to_point(centers, mc.center) <= limit_raw]
+        reach = cand[metric.raw_to_point(centers[cand], center) <= limit_raw]
         reach.sort()
-        mc.reach_ids = reach
+        lists.append(reach)
+    return csr_from_parts(lists)
 
 
 def reference_state(
@@ -225,19 +227,20 @@ def reference_state(
             defer_2eps=defer_2eps,
             metric=metric,
         )
-        murtree = MuRTree.from_prebuilt(
+    with timers.phase("finding_reachable_groups"):
+        center_rows = np.asarray([mc.center_row for mc in mcs], dtype=np.int64)
+        murtree = MuRTree.from_arrays(
             pts,
             eps,
-            mcs,
-            level1,
             point_mc,
+            center_rows,
+            *csr_from_parts([mc.member_rows for mc in mcs]),
+            *compute_reachable_probe(pts[center_rows], level1, eps, counters, metric),
             aux_index=aux_index,
             filtration=filtration,
             counters=counters,
             metric=metric,
         )
-    with timers.phase("finding_reachable_groups"):
-        compute_reachable_probe(mcs, level1, eps, counters, metric)
         murtree.compute_reachability()  # the cached mode's reach blocks
     state = state_factory(murtree, params, counters)
     with timers.phase("clustering"):

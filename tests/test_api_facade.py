@@ -124,6 +124,41 @@ class TestRemovedPathOptions:
             calls[entry]()
 
 
+class TestRemovedTreeOptions:
+    """``max_entries`` sized the fit's level-1 R-tree, which no fit path
+    builds any more, and ``aux_bulk`` chose how the ``rtree`` mode packs
+    its AuxR-trees (always STR now); the keywords are rejected by name."""
+
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        [(entry, "max_entries") for entry in (
+            "fit", "fit-sampled", "fit-summary", "mu_dbscan", "MuDBSCAN",
+            "fit_model", "MuRTree",
+        )] + [("MuRTree", "aux_bulk")],
+    )
+    def test_type_error_names_the_keyword(self, small_blobs, entry, keyword):
+        from repro.core.mudbscan import MuDBSCAN
+        from repro.microcluster.murtree import MuRTree
+        from repro.serving.model import fit_model
+
+        opt = {keyword: 64 if keyword == "max_entries" else True}
+        calls = {
+            "fit": lambda: fit(small_blobs, eps=0.08, min_pts=6, **opt),
+            "fit-sampled": lambda: fit(
+                small_blobs, eps=0.08, min_pts=6, engine="sampled", **opt
+            ),
+            "fit-summary": lambda: fit(
+                small_blobs, eps=0.08, min_pts=6, engine="summary", **opt
+            ),
+            "mu_dbscan": lambda: mu_dbscan(small_blobs, eps=0.08, min_pts=6, **opt),
+            "MuDBSCAN": lambda: MuDBSCAN(eps=0.08, min_pts=6, **opt),
+            "fit_model": lambda: fit_model(small_blobs, 0.08, 6, **opt),
+            "MuRTree": lambda: MuRTree(small_blobs, 0.08, aux_index="rtree", **opt),
+        }
+        with pytest.raises(TypeError, match=keyword):
+            calls[entry]()
+
+
 class TestNonFiniteInput:
     """NaN and ±inf rows are rejected up front, naming the row, by every
     fit entry point."""

@@ -194,7 +194,7 @@ class TestBothKernels:
         tree.compute_reachability()
         state = MuDBSCANState(tree, DBSCANParams(eps=eps, min_pts=min_pts), Counters())
         process_micro_clusters(state)
-        return tree, np.diff(tree.reach_offsets)[tree.point_mc[~state.wndq]]
+        return tree, np.diff(tree.block_offsets)[tree.point_mc[~state.wndq]]
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
     def test_workload_reaches_both_kernels(self, metric):
@@ -247,7 +247,7 @@ class TestBothKernels:
         whichever rows share the wave."""
         pts, eps, min_pts = _mixed_workload(4)
         tree, _ = self._pending_block_sizes(pts, eps, min_pts, metric)
-        sizes = np.diff(tree.reach_offsets)[tree.point_mc]
+        sizes = np.diff(tree.block_offsets)[tree.point_mc]
         rows = np.flatnonzero(sizes < DENSE_MIN_CANDIDATES)
         eps_raw = tree.metric.threshold(eps)
         h_raw = tree.metric.threshold(eps * 0.5)

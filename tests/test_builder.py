@@ -14,6 +14,7 @@ from repro.geometry.distance import sq_dists_to_point
 from repro.geometry.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import build_micro_clusters
+from repro.microcluster.murtree import MuRTree
 from repro.microcluster.reachability import compute_reachable
 from repro.validation.reference import build_micro_clusters_scan, compute_reachable_probe
 
@@ -97,8 +98,9 @@ class TestBuildMicroClusters:
 
 def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, block_size=4096):
     """Run the grid builder and the reference scan; require bit-identical
-    structures + counters."""
-    c_scan, c_grid = Counters(), Counters()
+    structures + counters, both as the production store's arrays and as
+    the per-MC object view, and identical Algorithm-5 reach lists."""
+    c_scan, c_grid, c_store = Counters(), Counters(), Counters()
     scan_mcs, scan_tree, scan_pm = build_micro_clusters_scan(
         pts, eps, counters=c_scan, defer_2eps=defer_2eps, metric=metric
     )
@@ -125,15 +127,52 @@ def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, b
     # same MC boxes in the first-level tree (node layout may differ:
     # dynamic Guttman inserts vs one STR pack)
     assert sorted(scan_tree.iter_payloads()) == sorted(grid_tree.iter_payloads())
-    # Algorithm 5: the grid join reproduces the level-1 tree probe
+
+    # the production store: the reference objects' arrays, flattened
+    store = MuRTree(
+        pts,
+        eps,
+        defer_2eps=defer_2eps,
+        metric=metric,
+        builder_block_size=block_size,
+        counters=c_store,
+    )
+    def flat(attr):
+        parts = [getattr(mc, attr).ravel() for mc in scan_mcs]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    def offsets(attr):
+        return np.cumsum([0] + [len(getattr(mc, attr)) for mc in scan_mcs])
+
+    assert np.array_equal(store.point_mc, scan_pm)
+    assert store.center_rows.tolist() == [mc.center_row for mc in scan_mcs]
+    assert np.array_equal(store.member_offsets, offsets("member_rows"))
+    assert np.array_equal(store.ic_offsets, offsets("ic_rows"))
+    for name, attr in (
+        ("member_flat", "member_rows"),
+        ("member_points", "member_points"),
+        ("mbr_low", "mbr_low"),
+        ("mbr_high", "mbr_high"),
+        ("ic_flat", "ic_rows"),
+    ):
+        assert np.array_equal(getattr(store, name).ravel(), flat(attr)), name
+    for field in ("dist_calcs", "deferred_points", "micro_clusters"):
+        assert getattr(c_scan, field) == getattr(c_store, field), field
+
+    # Algorithm 5: the grid join on the centers reproduces the level-1
+    # tree probe
+    centers = store.points[store.center_rows]
     c_tree, c_join = Counters(), Counters()
-    compute_reachable_probe(scan_mcs, scan_tree, eps, c_tree, metric=metric)
-    compute_reachable(grid_mcs, eps, c_join, metric=metric)
-    for a, b in zip(scan_mcs, grid_mcs):
-        assert b.reach_ids.dtype == np.int64
-        assert np.all(np.diff(b.reach_ids) > 0)
-        assert np.array_equal(a.reach_ids, b.reach_ids)
+    probe = compute_reachable_probe(centers, scan_tree, eps, c_tree, metric=metric)
+    reach_offsets, reach_flat = compute_reachable(centers, eps, c_join, metric=metric)
+    assert reach_flat.dtype == np.int64
+    assert np.array_equal(probe[0], reach_offsets)
+    assert np.array_equal(probe[1], reach_flat)
     assert c_tree.dist_calcs == c_join.dist_calcs
+    bounds = reach_offsets.tolist()
+    for mc, lo, hi in zip(grid_mcs, bounds[:-1], bounds[1:]):
+        mc.reach_ids = reach_flat[lo:hi]
+        assert np.all(np.diff(mc.reach_ids) > 0)
     return grid_mcs
 
 

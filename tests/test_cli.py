@@ -223,9 +223,9 @@ class TestServingCLI:
 
         def spy(*args, **kwargs):
             seen.append(kwargs["block_size"])
-            return builder.build_micro_clusters(*args, **kwargs)
+            return builder.build_micro_cluster_arrays(*args, **kwargs)
 
-        monkeypatch.setattr(murtree, "build_micro_clusters", spy)
+        monkeypatch.setattr(murtree, "build_micro_cluster_arrays", spy)
         assert main(
             ["fit", "--dataset", "3DSRN", "--scale", "0.05",
              "--builder-block-size", "7", "--save", str(tmp_path / "m.mudb")]

@@ -117,7 +117,7 @@ class TestMetricExactness:
         pts = blobs_with_noise(50, 2, 2, seed=74)
         with pytest.raises(ValueError, match="euclidean metric only"):
             mu_dbscan(pts, 0.1, 4, metric="manhattan", aux_index="rtree")
-        # the reference pipeline wraps its MCs with MuRTree.from_prebuilt
+        # the reference pipeline wraps its MCs with MuRTree.from_arrays
         from repro.validation.reference import reference_mu_dbscan
 
         with pytest.raises(ValueError, match="euclidean metric only"):

@@ -5,11 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro
+from repro.core.mudbscan import run_mu_dbscan_state
+from repro.core.params import DBSCANParams
 from repro.geometry.distance import neighbors_within, sq_dist
+from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
-from repro.microcluster.builder import build_micro_clusters
+from repro.microcluster.builder import build_micro_cluster_arrays
+from repro.microcluster.microcluster import MicroCluster
 from repro.microcluster.murtree import MuRTree
 from repro.microcluster.reachability import compute_reachable
+from repro.serving.model import FittedModel, fit_model
+from repro.serving.predict import predict_model
 
 
 @pytest.fixture
@@ -172,14 +179,127 @@ class TestReachabilityMemory:
         else:
             # stencil 3**16 >> occupied cells: the occupied-set compare
             pts, eps = np.random.default_rng(3).random((3000, 16)) * 10.0, 0.5
-        mcs, _, _ = build_micro_clusters(pts, eps)
-        assert len(mcs) >= 3000
+        _, center_rows, _, _ = build_micro_cluster_arrays(pts, eps)
+        centers = pts[center_rows]
+        assert len(centers) >= 3000
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            compute_reachable(mcs, eps)
+            reach_offsets, _ = compute_reachable(centers, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(mc.reach_ids is not None for mc in mcs)
+        # every MC has its reach list (each includes the MC itself)
+        assert reach_offsets.shape == (len(centers) + 1,)
+        assert np.all(np.diff(reach_offsets) >= 1)
         assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+class TestFlatStore:
+    """The fit index holds the MC structure as the served model's
+    arrays; per-MC objects are an inspection view."""
+
+    def test_store_arrays_are_read_only_and_shared_with_the_model(self, small_blobs):
+        state, _ = run_mu_dbscan_state(small_blobs, DBSCANParams(eps=0.08, min_pts=6))
+        tree = state.murtree
+        names = (
+            "point_mc", "center_rows", "member_offsets", "member_flat",
+            "member_points", "mbr_low", "mbr_high", "ic_offsets", "ic_flat",
+            "reach_offsets", "reach_flat", "block_offsets", "block_rows",
+            "dense_coords", "dense_offsets",
+        )
+        for name in names:
+            assert not getattr(tree, name).flags.writeable, name
+        model = FittedModel.from_state(state)
+        for name in ("point_mc", "center_rows", "member_offsets", "member_flat",
+                     "reach_offsets", "reach_flat"):
+            assert getattr(model, name) is getattr(tree, name), name
+
+    def test_view_matches_the_arrays(self, murtree):
+        m = murtree.n_micro_clusters
+        assert [mc.mc_id for mc in murtree.mcs] == list(range(m))
+        for k, mc in enumerate(murtree.mcs):
+            assert mc.frozen and mc.center_row == murtree.center_rows[k]
+            np.testing.assert_array_equal(mc.member_rows, murtree.member_rows(k))
+            np.testing.assert_array_equal(mc.reach_ids, murtree.reach_ids(k))
+            np.testing.assert_array_equal(mc.reach_rows, murtree.reach_block(k))
+            np.testing.assert_array_equal(
+                mc.ic_rows,
+                murtree.ic_flat[murtree.ic_offsets[k] : murtree.ic_offsets[k + 1]],
+            )
+
+    @pytest.mark.parametrize("min_pts", [1, 3, 6, 20])
+    def test_kind_counts_match_the_per_mc_classification(self, murtree, min_pts):
+        counts = {"DMC": 0, "CMC": 0, "SMC": 0}
+        for mc in murtree.mcs:
+            counts[mc.kind(min_pts).name] += 1
+        assert murtree.kind_counts(min_pts) == counts
+
+    def test_view_is_dropped_when_the_reach_state_changes(self, small_blobs):
+        tree = MuRTree(small_blobs, eps=0.08)
+        before = tree.mcs
+        assert all(mc.reach_ids is None for mc in before)
+        tree.compute_reachability()
+        after = tree.mcs
+        assert after is not before and after is tree.mcs
+        assert all(mc.reach_ids is not None and mc.reach_rows is not None for mc in after)
+        tree.compute_reachability()  # idempotent: the view stays
+        assert tree.mcs is after
+
+    def test_empty_and_single_point(self):
+        empty = MuRTree(np.empty((0, 3)), eps=0.5)
+        empty.compute_reachability()
+        assert empty.n_micro_clusters == 0 and empty.mcs == []
+        assert empty.mbr_low.shape == (0, 3) and empty.reach_offsets.tolist() == [0]
+        one = MuRTree(np.array([[1.0, 2.0]]), eps=0.5)
+        one.compute_reachability()
+        assert one.reach_flat.tolist() == [0] and one.ic_flat.tolist() == [0]
+        assert one.kind_counts(1) == {"DMC": 1, "CMC": 0, "SMC": 0}
+
+
+class TestNoPerMCObjectsInProduction:
+    """No production path constructs a ``MicroCluster`` or an ``RTree``;
+    the object view is built once, on first read."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        counts = {MicroCluster: 0, RTree: 0}
+        for cls in counts:
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _cls=cls, **kwargs):
+                counts[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("engine", ["exact", "sampled", "summary"])
+    def test_fit(self, small_blobs, constructed, engine):
+        repro.fit(small_blobs, eps=0.08, min_pts=6, engine=engine)
+        assert constructed == {MicroCluster: 0, RTree: 0}
+
+    def test_model_round_trip_and_predict(self, small_blobs, constructed):
+        model = fit_model(small_blobs, 0.08, 6)
+        loaded = FittedModel.from_bytes(model.to_bytes())
+        predict_model(loaded, small_blobs[::5] + 0.01)
+        assert loaded.mc_kind_counts() == model.mc_kind_counts()
+        assert constructed == {MicroCluster: 0, RTree: 0}
+
+    def test_distributed(self, small_blobs, constructed):
+        repro.fit_distributed(small_blobs, 0.08, 6, n_ranks=2, backend="thread")
+        assert constructed == {MicroCluster: 0, RTree: 0}
+
+    def test_streaming_seed_and_insert(self, small_blobs, constructed):
+        # the stream maintains its own level-1 tree, so only objects count
+        stream = repro.stream(eps=0.08, min_pts=6)
+        stream.partial_fit(small_blobs[:200])
+        stream.partial_fit(small_blobs[200:])
+        assert constructed[MicroCluster] == 0
+
+    def test_view_is_built_once(self, small_blobs, constructed):
+        model = fit_model(small_blobs, 0.08, 6)
+        first = model.murtree.mcs
+        assert constructed[MicroCluster] == model.n_micro_clusters
+        assert model.murtree.mcs is first
+        assert constructed[MicroCluster] == model.n_micro_clusters

@@ -107,8 +107,9 @@ class TestRoundTrip:
             np.testing.assert_array_equal(mc_l.ic_rows, mc_f.ic_rows)
 
     def test_served_index_builds_no_reach_blocks(self, small_blobs, rng):
-        """Prediction reads the level-1 tree, the centers and the member
-        blocks; the rebuilt index keeps the reach lists only."""
+        """Prediction reads the routing table and the stored arrays; the
+        ``FittedModel.murtree`` inspection view keeps the stored reach
+        lists and lays out no reach blocks."""
         model = fit_model(small_blobs, 0.08, 6)
         loaded = FittedModel.from_bytes(model.to_bytes())
         queries = np.vstack(
