@@ -120,9 +120,7 @@ def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
                         continue
                     group = nodes[order[s:e]]
                     anchor = int(group[0])
-                    for other in group[1:]:
-                        if int(other) != anchor:
-                            state.union(anchor, int(other))
+                    state.union_many(anchor, group[group != anchor])
 
         unknown_cand = candidates[state.postprocess_unknown_mask(candidates)]
         if unknown_cand.size:

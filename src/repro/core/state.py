@@ -8,8 +8,6 @@ without circular imports.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 import numpy as np
 
 from repro.core.params import DBSCANParams
@@ -78,46 +76,12 @@ class MuDBSCANState:
         self.assigned[y] = True
 
     def union_many(self, x: int, others: np.ndarray) -> None:
-        """Merge ``x`` with every row of ``others`` — the same partition,
-        ``unions`` count and ``assigned`` flags as ``union(x, q)`` in
-        sequence, batched.
-
-        The batched clustering engine funnels a core point's whole merge
-        list through here.  A row and its parent are in one set, so
-        merging ``x`` with each distinct parent is merging it with each
-        row: the parents of the whole list are read in one C-level
-        lookup (``operator.itemgetter`` over the list-backed parent
-        array) and deduplicated in a set, then each distinct parent gets
-        one find and one union.  Only which root wins can differ from
-        the loop, and the sequential run reads roots only through labels
-        numbered by first appearance and Algorithm 7's same-set test.
-        The distributed state overrides this with a per-pair loop
-        because owned↔halo pairs must be deferred, not unioned (and its
-        intra edges name roots).
-        """
+        """Merge ``x`` with every row of ``others`` in one star
+        (:meth:`UnionFind.union_many`) — the same roots, ``unions`` count
+        and ``assigned`` flags as ``union(x, q)`` in sequence."""
         if not others.size:
             return
-        uf = self.uf
-        parent = uf._parent
-        rank = uf._rank
-        rows = others.tolist()
-        heads = {parent[rows[0]]} if len(rows) == 1 else set(itemgetter(*rows)(parent))
-        rx = uf.find(int(x))
-        effective = 0
-        for ry in heads:
-            while parent[ry] != ry:
-                parent[ry] = ry = parent[parent[ry]]
-            if ry == rx:
-                continue
-            if rank[rx] < rank[ry]:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            if rank[rx] == rank[ry]:
-                rank[rx] += 1
-            effective += 1
-        if effective:
-            uf._n_sets -= effective
-            self.counters.unions += effective
+        self.uf.union_many(x, others)
         self.assigned[x] = True
         self.assigned[others] = True
 

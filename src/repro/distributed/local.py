@@ -57,7 +57,9 @@ class DistributedMuDBSCANState(MuDBSCANState):
             )
         self.owned = np.asarray(owned, dtype=bool)
         self.gids = np.asarray(gids, dtype=np.int64)
-        self.cross_pairs: list[tuple[int, int]] = []
+        #: (owned gid, halo gid) arrays in emission order, deduplicated
+        #: once when the fragment is packaged
+        self.cross_pairs: list[np.ndarray] = []
 
     def union(self, x: int, y: int) -> None:
         x, y = int(x), int(y)
@@ -66,15 +68,26 @@ class DistributedMuDBSCANState(MuDBSCANState):
             super().union(x, y)
         elif xo or yo:
             owned_row, halo_row = (x, y) if xo else (y, x)
-            self.cross_pairs.append(
-                (int(self.gids[owned_row]), int(self.gids[halo_row]))
-            )
+            self.cross_pairs.append(self.gids[[[owned_row, halo_row]]])
         # halo-halo: both owners will see this relation themselves
 
     def union_many(self, x: int, others: np.ndarray) -> None:
-        # per pair: each owned-halo edge must become its own cross pair
-        for q in others.tolist():
-            self.union(x, q)
+        # what union(x, q) does for each q in turn: owned↔owned pairs
+        # merge (and only they set flags), owned↔halo pairs are deferred
+        # in ``others`` order, halo↔halo pairs are dropped
+        owned = self.owned[others]
+        if self.owned[x]:
+            super().union_many(x, others[owned])
+            self.defer(x, others[~owned])
+        else:
+            self.defer(others[owned], x)
+
+    def defer(self, owned_rows: np.ndarray | int, halo_rows: np.ndarray | int) -> None:
+        """Append (owned, halo) row pairs as cross pairs; a scalar side
+        pairs with every row of the other."""
+        pairs = np.column_stack(np.broadcast_arrays(owned_rows, halo_rows))
+        if pairs.size:
+            self.cross_pairs.append(self.gids[pairs])
 
     def postprocess_candidate_mask(self, candidates: np.ndarray) -> np.ndarray:
         # locally-known cores plus every halo point (globally judged)
@@ -91,8 +104,7 @@ def _emit_noise_rescue_pairs(state: DistributedMuDBSCANState) -> None:
     for row, nbrs in state.noise_nbrs.items():
         if not state.owned[row] or state.assigned[row] or state.core[row]:
             continue
-        for q in nbrs[~state.owned[nbrs]]:
-            state.cross_pairs.append((int(state.gids[row]), int(state.gids[int(q)])))
+        state.defer(row, nbrs[~state.owned[nbrs]])
 
 
 def _extract_intra_edges(state: DistributedMuDBSCANState) -> np.ndarray:
@@ -159,7 +171,9 @@ def _package_fragment(
     # owned-halo edges); dedupe keeping first occurrence so border-claim
     # order stays deterministic while the exchanged volume shrinks
     if state.cross_pairs:
-        cross = np.asarray(list(dict.fromkeys(state.cross_pairs)), dtype=np.int64)
+        pairs = np.concatenate(state.cross_pairs)
+        _, first = np.unique(pairs, axis=0, return_index=True)
+        cross = pairs[np.sort(first)]
     else:
         cross = np.empty((0, 2), dtype=np.int64)
     return LocalFragment(

@@ -2,7 +2,7 @@
 
 Each rank's fragment is exchanged (one allgather — the only collective
 of the merge, mirroring the paper's all-to-all of cross pairs), then
-every rank deterministically replays:
+every rank deterministically resolves, in one array pass:
 
 1. all intra-rank unions (owned↔owned, already legal),
 2. the cross pairs in (rank, emission) order, interpreted under the
@@ -10,12 +10,14 @@ every rank deterministically replays:
 
    * both endpoints core  → union (a core-core ε-edge),
    * exactly one core     → border claim: the non-core endpoint joins
-     the core's cluster iff it is not yet assigned anywhere (classical
-     DBSCAN's first-come border rule),
+     the core's cluster of its first such pair iff its owner left it
+     unassigned (classical DBSCAN's first-come border rule),
    * neither core         → no-op (e.g. a noise-rescue probe whose halo
      endpoint turned out non-core).
 
-No neighborhood query is executed here — the merge is pure union-find
+The kept pairs and the intra edges are then one edge batch for
+:func:`~repro.unionfind.distributed.resolve_cross_edges`.  No
+neighborhood query is executed here — the merge is pure union-find
 traffic, which is why the paper's merge phase stays below ~4% of the
 run (Table VII).
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.distributed.protocol import LocalFragment
 from repro.instrumentation.counters import Counters
-from repro.unionfind.unionfind import UnionFind
+from repro.unionfind.distributed import resolve_cross_edges
 
 __all__ = ["resolve_fragments", "MergeOutcome"]
 
@@ -69,29 +71,27 @@ def resolve_fragments(
         missing = int(n_global - np.count_nonzero(seen))
         raise ValueError(f"fragments do not cover the dataset: {missing} ids unowned")
 
-    uf = UnionFind(n_global, counters=counters)
-    for frag in fragments:
-        for a, b in frag.intra_edges:
-            uf.union(int(a), int(b))
-
-    n_cross = 0
-    for frag in fragments:
-        for a, b in frag.cross_pairs:
-            a, b = int(a), int(b)
-            n_cross += 1
-            if core[a] and core[b]:
-                uf.union(a, b)
-            elif core[a] and not assigned[b]:
-                uf.union(a, b)
-                assigned[b] = True
-            elif core[b] and not assigned[a]:
-                uf.union(a, b)
-                assigned[a] = True
+    empty = np.empty((0, 2), dtype=np.int64)
+    pairs = np.concatenate([empty] + [np.asarray(f.cross_pairs, np.int64) for f in fragments])
+    a, b = pairs[:, 0], pairs[:, 1]
+    keep = core[a] & core[b]
+    # border claims: the non-core endpoint of a one-core pair, if its
+    # owner left it unassigned, joins the core of its first such pair
+    one_core = core[a] ^ core[b]
+    border = np.where(core[a], b, a)
+    claimable = np.flatnonzero(one_core & ~assigned[border])
+    _, first = np.unique(border[claimable], return_index=True)
+    claims = claimable[first]
+    keep[claims] = True
+    assigned[border[claims]] = True
+    uf = resolve_cross_edges(
+        n_global, [f.intra_edges for f in fragments], [pairs[keep]], counters
+    )
 
     labels = uf.labels(noise_mask=~core & ~assigned)
     return MergeOutcome(
         labels=labels,
         core_mask=core,
         assigned_mask=assigned,
-        n_cross_pairs=n_cross,
+        n_cross_pairs=int(pairs.shape[0]),
     )

@@ -226,23 +226,6 @@ class ClusteringEngine(abc.ABC):
         )
 
 
-def _dense_first_appearance(point_comp: np.ndarray) -> np.ndarray:
-    """Dense ``0..k-1`` labels from arbitrary component ids (``-1`` =
-    noise), renumbered in order of first appearance — the same
-    determinism rule as :meth:`UnionFind.labels`, vectorized."""
-    labels = np.full(point_comp.shape[0], -1, dtype=np.int64)
-    valid = point_comp >= 0
-    comps = point_comp[valid]
-    if comps.size == 0:
-        return labels
-    uniq, first_idx, inv = np.unique(comps, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[order] = np.arange(uniq.shape[0], dtype=np.int64)
-    labels[valid] = rank[inv]
-    return labels
-
-
 # ---------------------------------------------------------------------
 # registry
 

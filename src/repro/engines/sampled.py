@@ -114,15 +114,15 @@ class SampledCoreEngine(ClusteringEngine):
         block_size: int,
         *,
         min_pts: int | None = None,
-        uf: UnionFind | None = None,
+        links: list[np.ndarray] | None = None,
         core: np.ndarray | None = None,
     ) -> dict[int, int]:
         """Exact ε-queries for ``rows``; returns row → neighbor count.
 
-        With ``min_pts``/``uf``/``core`` given, every row that proves
-        core is promoted in place: marked in ``core`` and unioned with
+        With ``min_pts``/``links``/``core`` given, every row that proves
+        core is promoted in place: marked in ``core``, and its edges to
         each already-core neighbor (the core-graph edges the promotion
-        creates).
+        creates) appended to ``links``.
         """
         counts: dict[int, int] = {}
         for mc_id, grp in _groups_by_mc(murtree.point_mc, rows):
@@ -133,11 +133,11 @@ class SampledCoreEngine(ClusteringEngine):
             for i, row in enumerate(grp):
                 row = int(row)
                 counts[row] = int(res.n_eps[i])
-                if uf is not None and counts[row] >= min_pts:
+                if links is not None and counts[row] >= min_pts:
                     core[row] = True
                     nbrs = res.nbrs(int(i))
-                    for other in nbrs[core[nbrs]]:
-                        uf.union(row, int(other))
+                    other = nbrs[core[nbrs]]
+                    links.append(np.column_stack(np.broadcast_arrays(row, other)))
         return counts
 
     def _select_candidates(self, points: np.ndarray, eps: float) -> np.ndarray:
@@ -225,11 +225,13 @@ class SampledCoreEngine(ClusteringEngine):
                     # only higher rows: the ε-relation is symmetric, so
                     # each core pair is unioned exactly once
                     core_nbrs.append(nbrs[cand_mask[nbrs] & (nbrs > row)])
-            # stage 2: core graph over the sample — union each core
-            # with its in-sample neighbors that also proved core
-            for row, nbrs in zip(core_rows, core_nbrs):
-                for other in nbrs[core[nbrs]]:
-                    uf.union(row, int(other))
+            # stage 2: core graph over the sample — each core with its
+            # in-sample neighbors that also proved core, in one pass
+            if core_rows:
+                nbrs = np.concatenate(core_nbrs)
+                rows = np.repeat(core_rows, [a.size for a in core_nbrs])
+                link = core[nbrs]
+                uf.union_edges(rows[link], nbrs[link])
 
         with timers.phase("post_processing"), maybe_span("post_processing"):
             # nearest detected core strictly within ε, candidates drawn
@@ -238,8 +240,11 @@ class SampledCoreEngine(ClusteringEngine):
             # smallest distance, then smallest core row
             assigned = core.copy()
             # component snapshot: border unions below only attach
-            # singletons, so cross-component suspects stay detectable
+            # singletons, so cross-component suspects stay detectable;
+            # nothing else reads the union-find before the labels, so
+            # the phase's edges are collected in ``links``
             roots_snap = uf.roots()
+            links: list[np.ndarray] = []
             bridge_rows: list[int] = []
             bridge_cores: list[np.ndarray] = []
             for mc_id, rows in _groups_by_mc(
@@ -263,8 +268,7 @@ class SampledCoreEngine(ClusteringEngine):
                     best = np.argmin(
                         np.where(within, raw, np.inf), axis=1
                     )
-                    for row, col in zip(chunk[hit], best[hit]):
-                        uf.union(int(cand[col]), int(row))
+                    links.append(np.column_stack([cand[best[hit]], chunk[hit]]))
                     assigned[chunk[hit]] = True
                     # bridge suspects: within ε of cores from ≥2
                     # distinct components
@@ -285,8 +289,7 @@ class SampledCoreEngine(ClusteringEngine):
                 for row, touched in zip(bridge_rows, bridge_cores):
                     if n_eps_by_row[row] >= min_pts:
                         core[row] = True
-                        for c in touched:
-                            uf.union(int(c), row)
+                        links.append(np.column_stack(np.broadcast_arrays(row, touched)))
             # noise rescue: an unassigned point may sit in the ε-ball
             # of a core the sample missed.  Assigned border points
             # adjacent to unassigned ones are the only places such
@@ -327,7 +330,7 @@ class SampledCoreEngine(ClusteringEngine):
                     counters,
                     block_size,
                     min_pts=min_pts,
-                    uf=uf,
+                    links=links,
                     core=core,
                 )
                 if not any(
@@ -350,9 +353,13 @@ class SampledCoreEngine(ClusteringEngine):
                         if not hit.any():
                             continue
                         best = np.argmin(np.where(within, raw, np.inf), axis=1)
-                        for row, col in zip(chunk[hit], best[hit]):
-                            uf.union(int(cand[col]), int(row))
+                        links.append(
+                            np.column_stack([cand[best[hit]], chunk[hit]])
+                        )
                         assigned[chunk[hit]] = True
+            if links:
+                edges = np.concatenate(links)
+                uf.union_edges(edges[:, 0], edges[:, 1])
             labels = uf.labels(noise_mask=~assigned)
 
         counters.queries_saved += max(

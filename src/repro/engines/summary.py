@@ -68,11 +68,7 @@ import numpy as np
 
 from repro.core.extras import ExtraKeys
 from repro.core.params import DBSCANParams
-from repro.engines.base import (
-    ClusteringEngine,
-    EngineFitState,
-    _dense_first_appearance,
-)
+from repro.engines.base import ClusteringEngine, EngineFitState
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.index.grid import concat_ranges
 from repro.instrumentation.counters import Counters
@@ -80,7 +76,7 @@ from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
 from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
 from repro.observability.tracing import maybe_span
-from repro.unionfind import UnionFind
+from repro.unionfind import UnionFind, dense_first_appearance
 
 __all__ = ["SummaryEngine"]
 
@@ -319,7 +315,7 @@ class SummaryEngine(ClusteringEngine):
                     comp_assign[chunk[hit]] = anchor_comp[best[hit]]
             roots = uf.roots()
             point_comp = np.where(comp_assign >= 0, roots[comp_assign], -1)
-            labels = _dense_first_appearance(point_comp)
+            labels = dense_first_appearance(point_comp)
 
         counters.queries_saved += max(0, n - m - int(stray_cand.size))
         return EngineFitState(

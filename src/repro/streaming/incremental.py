@@ -69,6 +69,7 @@ from repro.microcluster.reachability import compute_reachable
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
 from repro.observability.tracing import maybe_span
+from repro.unionfind import UnionFind, dense_first_appearance
 
 __all__ = ["StreamingMuDBSCAN", "IncrementalMuDBSCAN"]
 
@@ -77,20 +78,6 @@ ALGORITHM = "streaming_mu_dbscan"
 #: border-cache sentinels (values < 0; >= 0 means "home core row")
 _UNKNOWN = -2  # never resolved / invalidated
 _NO_HOME = -1  # resolved: no core strictly within eps (noise)
-
-
-def _dense_labels(raw: np.ndarray) -> np.ndarray:
-    """Relabel raw component ids to ``0..k-1`` by first appearance."""
-    out = np.full(raw.shape[0], -1, dtype=np.int64)
-    mask = raw >= 0
-    if not mask.any():
-        return out
-    vals = raw[mask]
-    uniq, first, inv = np.unique(vals, return_index=True, return_inverse=True)
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(uniq.shape[0])
-    out[mask] = rank[inv]
-    return out
 
 
 def _grown(arr: np.ndarray, need: int, fill) -> np.ndarray:
@@ -202,8 +189,7 @@ class StreamingMuDBSCAN:
 
         # label union-find (labels are only ever created and merged;
         # splits mint fresh labels, so ids grow monotonically)
-        self._lparent: list[int] = []
-        self._lrank: list[int] = []
+        self._label_uf = UnionFind(0, counters=self.counters)
 
         self._tree_obj: RTree | None = None
 
@@ -283,45 +269,6 @@ class StreamingMuDBSCAN:
             else:
                 counts[MCKind.SMC.name] += 1
         return counts
-
-    # ------------------------------------------------------------------
-    # label union-find
-
-    def _new_label(self) -> int:
-        lbl = len(self._lparent)
-        self._lparent.append(lbl)
-        self._lrank.append(0)
-        return lbl
-
-    def _find_label(self, lbl: int) -> int:
-        parent = self._lparent
-        while parent[lbl] != lbl:
-            parent[lbl] = parent[parent[lbl]]  # path halving
-            lbl = parent[lbl]
-        return lbl
-
-    def _union_labels(self, a: int, b: int) -> None:
-        ra, rb = self._find_label(a), self._find_label(b)
-        if ra == rb:
-            return
-        if self._lrank[ra] < self._lrank[rb]:
-            ra, rb = rb, ra
-        self._lparent[rb] = ra
-        if self._lrank[ra] == self._lrank[rb]:
-            self._lrank[ra] += 1
-        self.counters.unions += 1
-
-    def _canon_array(self, raw: np.ndarray) -> np.ndarray:
-        """Canonical label of every (non-negative) raw id, vectorized."""
-        if raw.size == 0:
-            return raw.astype(np.int64)
-        parent = np.asarray(self._lparent, dtype=np.int64)
-        out = raw.astype(np.int64, copy=True)
-        while True:
-            nxt = parent[out]
-            if np.array_equal(nxt, out):
-                return out
-            out = nxt
 
     # ------------------------------------------------------------------
     # neighborhood machinery
@@ -601,8 +548,7 @@ class StreamingMuDBSCAN:
         ]
         promoted = np.concatenate([promoted_new, promoted_old])
         self._core[promoted] = True
-        for r in promoted:
-            self._labels[r] = self._new_label()
+        self._labels[promoted] = self._label_uf.extend(promoted.size)
         nb_old = self._bulk_neighbors(promoted_old, pts) if promoted_old.size else {}
         nb_all = {**nb, **nb_old}
         self._link_cores(promoted, nb_all)
@@ -621,15 +567,15 @@ class StreamingMuDBSCAN:
         """Union every (core, core) ε-edge incident to ``rows``.
 
         All of ``rows`` carry fresh labels and the core flag already;
-        symmetry makes one directed pass per row sufficient."""
-        for r in rows:
-            r = int(r)
-            nbrs = nb[r]
-            cores = nbrs[self._core[nbrs]]
-            my = int(self._labels[r])
-            for q in cores:
-                if int(q) != r:
-                    self._union_labels(my, int(self._labels[q]))
+        symmetry makes one directed pass per row sufficient, and the
+        batch's edges resolve in one :meth:`UnionFind.union_edges`."""
+        if not rows.size:
+            return
+        parts = [nb[int(r)] for r in rows]
+        nbrs = np.concatenate(parts)
+        src = np.repeat(rows, [p.size for p in parts])
+        link = self._core[nbrs] & (nbrs != src)
+        self._label_uf.union_edges(self._labels[src[link]], self._labels[nbrs[link]])
 
     # ------------------------------------------------------------------
     # delete / expiry path
@@ -672,7 +618,7 @@ class StreamingMuDBSCAN:
         np.add.at(self._ncount, concat, -1)
         # roots of components that lose a core (captured pre-clear)
         affected: set[int] = {
-            self._find_label(int(self._labels[r]))
+            self._label_uf.find(int(self._labels[r]))
             for r in rows
             if self._core[r]
         }
@@ -694,7 +640,7 @@ class StreamingMuDBSCAN:
         touched = np.unique(concat)
         touched = touched[self._alive[touched]]
         demoted = touched[self._core[touched] & (self._ncount[touched] < min_pts)]
-        affected.update(self._find_label(int(self._labels[d])) for d in demoted)
+        affected.update(self._label_uf.find(int(self._labels[d])) for d in demoted)
         self._core[demoted] = False
         self._labels[demoted] = -1
         repaired = 0
@@ -718,10 +664,9 @@ class StreamingMuDBSCAN:
             crows = np.flatnonzero(self._alive[: self._n] & self._core[: self._n])
             if crows.size == 0:
                 return 0
-            canon = self._canon_array(self._labels[crows])
+            canon = self._label_uf.roots()[self._labels[crows]]
             region = crows[np.isin(canon, np.fromiter(affected, dtype=np.int64))]
-            for r in region:
-                self._labels[r] = self._new_label()
+            self._labels[region] = self._label_uf.extend(region.size)
             nb = self._bulk_neighbors(region, pts)
             self._link_cores(region, nb)
             self.counters.add_extra("stream_repaired_rows", int(region.shape[0]))
@@ -881,9 +826,10 @@ class StreamingMuDBSCAN:
         with self.timers.phase("stream_labels"):
             live = self.live_rows()
             raw = np.full(live.shape[0], -1, dtype=np.int64)
+            canon = self._label_uf.roots()
             cmask = self._core[live]
             if cmask.any():
-                raw[cmask] = self._canon_array(self._labels[live[cmask]])
+                raw[cmask] = canon[self._labels[live[cmask]]]
             nc_pos = np.flatnonzero(~cmask)
             if nc_pos.size:
                 nc_rows = live[nc_pos]
@@ -891,8 +837,8 @@ class StreamingMuDBSCAN:
                 homes = self._border[nc_rows]
                 has = homes >= 0
                 if has.any():
-                    raw[nc_pos[has]] = self._canon_array(self._labels[homes[has]])
-            return _dense_labels(raw)
+                    raw[nc_pos[has]] = canon[self._labels[homes[has]]]
+            return dense_first_appearance(raw)
 
     @property
     def n_clusters_(self) -> int:

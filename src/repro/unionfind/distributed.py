@@ -7,10 +7,12 @@ a remote rank (paper §V-C).  After local clustering the pairs are
 exchanged and a consistent global components structure is derived.
 
 Patwary et al. interleave the unions with message rounds on the real
-distributed structure; under simmpi every rank already sees the gathered
-edge lists after an ``allgather``, so we resolve them with one
-deterministic pass — the same final components, with the communication
-volume still counted by the caller.
+distributed structure; here every rank already sees the gathered edge
+lists after an ``allgather``, so they resolve in one
+:meth:`~repro.unionfind.unionfind.UnionFind.union_edges` pass — the
+same final components, with the communication volume still counted by
+the caller.  :func:`repro.distributed.merging.resolve_fragments` feeds
+its intra edges and kept cross pairs through here.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ def resolve_cross_edges(
     A :class:`UnionFind` over ``0..n_global-1`` with all edges applied.
     """
     uf = UnionFind(n_global, counters=counters)
+    batches = [np.empty((0, 2), dtype=np.int64)]
     for batch in list(intra_edges) + list(cross_edges):
         arr = np.asarray(batch, dtype=np.int64)
         if arr.size == 0:
@@ -56,8 +59,9 @@ def resolve_cross_edges(
             raise ValueError(f"edge batches must be (k, 2), got shape {arr.shape}")
         if arr.min() < 0 or arr.max() >= n_global:
             raise ValueError("edge references a global id outside 0..n_global-1")
-        for x, y in arr:
-            uf.union(int(x), int(y))
+        batches.append(arr)
+    edges = np.concatenate(batches)
+    uf.union_edges(edges[:, 0], edges[:, 1])
     return uf
 
 

@@ -11,6 +11,7 @@ from repro.core.process_mcs import process_micro_clusters
 from repro.core.remaining import process_remaining_points
 from repro.core.state import MuDBSCANState
 from repro.data.registry import dataset_names, load_dataset
+from repro.distributed.local import DistributedMuDBSCANState
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MCKind
 from repro.microcluster.murtree import MuRTree
@@ -196,9 +197,48 @@ class TestUnionMany:
         for q in others:
             looped.union(pivot, q)
         np.testing.assert_array_equal(batched.uf.labels(), looped.uf.labels())
+        np.testing.assert_array_equal(batched.uf.roots(), looped.uf.roots())
         assert batched.counters.unions == looped.counters.unions
         assert batched.uf.n_sets == looped.uf.n_sets
         np.testing.assert_array_equal(batched.assigned, looped.assigned)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_merge_cases(), owned_bits=st.lists(st.booleans(), min_size=40, max_size=40))
+    def test_distributed_state_matches_a_loop_of_unions(self, case, owned_bits):
+        # owned↔owned pairs merge, owned↔halo pairs become cross pairs
+        # in ``others`` order, halo↔halo pairs are dropped — per pair
+        n, prior, pivot, others = case
+        pts = np.arange(n, dtype=np.float64)[:, None] * 10.0
+        owned = np.asarray(owned_bits[:n], dtype=bool)
+        gids = np.arange(n, dtype=np.int64)[::-1] + 100
+        batched, looped = (_make_distributed_state(pts, owned, gids) for _ in range(2))
+        for state in (batched, looped):
+            for a, b in prior:
+                state.union(a, b)
+        batched.union_many(pivot, np.asarray(others, dtype=np.int64))
+        for q in others:
+            looped.union(pivot, q)
+        np.testing.assert_array_equal(_cross(batched), _cross(looped))
+        np.testing.assert_array_equal(batched.assigned, looped.assigned)
+        np.testing.assert_array_equal(batched.uf.labels(), looped.uf.labels())
+        np.testing.assert_array_equal(batched.uf.roots(), looped.uf.roots())
+        assert batched.counters.to_dict() == looped.counters.to_dict()
+
+
+def _make_distributed_state(pts, owned, gids) -> DistributedMuDBSCANState:
+    tree = MuRTree(pts, 1.0)
+    tree.compute_reachability()
+    return DistributedMuDBSCANState(
+        tree, DBSCANParams(eps=1.0, min_pts=2), Counters(), owned, gids
+    )
+
+
+def _cross(state: DistributedMuDBSCANState) -> np.ndarray:
+    return np.concatenate([np.empty((0, 2), dtype=np.int64)] + state.cross_pairs)
 
 
 class TestPostprocessCore:

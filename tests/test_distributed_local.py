@@ -137,9 +137,11 @@ def _reference_fragment(owned_points, owned_gids, halo_points, halo_gids, params
 
 
 class TestBatchedFragments:
-    """μDBSCAN-D keeps a per-pair union loop, so the batched engine must
-    emit a rank's fragment exactly as the per-point reference does: the
-    same cross pairs in the same order, the same local unions and flags."""
+    """The distributed ``union_many`` emits what a per-pair union loop
+    would, and roots do not depend on union order, so the batched engine
+    must emit a rank's fragment exactly as the per-point reference does:
+    the same cross pairs in the same order, the same local unions and
+    flags."""
 
     @pytest.mark.parametrize("make", [_blobs_scene, _halos_scene], ids=["blobs", "halos"])
     def test_batched_fragment_equals_per_point(self, make):

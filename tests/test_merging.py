@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.merging import resolve_fragments
 from repro.distributed.protocol import LocalFragment
+from repro.instrumentation.counters import Counters
+from repro.unionfind.unionfind import UnionFind
 
 
 def _frag(gids, core, assigned, intra=(), cross=()):
@@ -98,3 +102,77 @@ class TestResolveFragments:
                 intra_edges=np.empty((0, 2)),
                 cross_pairs=np.empty((0, 2)),
             )
+
+
+def _per_pair_merge(fragments, n_global):
+    """The merge as a per-pair loop: intra edges, then every cross pair
+    in (rank, emission) order under the global flags."""
+    core = np.zeros(n_global, dtype=bool)
+    assigned = np.zeros(n_global, dtype=bool)
+    for frag in fragments:
+        core[frag.owned_gids] = frag.core
+        assigned[frag.owned_gids] = frag.assigned
+    uf = UnionFind(n_global, counters=Counters())
+    for frag in fragments:
+        for a, b in frag.intra_edges:
+            uf.union(int(a), int(b))
+    n_cross = 0
+    for frag in fragments:
+        for a, b in frag.cross_pairs:
+            a, b = int(a), int(b)
+            n_cross += 1
+            if core[a] and core[b]:
+                uf.union(a, b)
+            elif core[a] and not assigned[b]:
+                uf.union(a, b)
+                assigned[b] = True
+            elif core[b] and not assigned[a]:
+                uf.union(a, b)
+                assigned[a] = True
+    labels = uf.labels(noise_mask=~core & ~assigned)
+    return labels, assigned, n_cross, uf.counters.unions
+
+
+@st.composite
+def _fragment_sets(draw):
+    """Random ownership over 1-4 ranks, random flags (some endpoints
+    already assigned by their owners), intra edges among owned ids and
+    cross pairs to other ranks' ids with duplicates and reversals."""
+    n = draw(st.integers(1, 30))
+    n_ranks = draw(st.integers(1, 4))
+    owner = np.asarray(draw(st.lists(st.integers(0, n_ranks - 1), min_size=n, max_size=n)))
+    core = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assigned = core | np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    gid = st.integers(0, n - 1)
+    frags = []
+    for r in range(n_ranks):
+        mine = np.flatnonzero(owner == r)
+        intra = []
+        if mine.size:
+            local = st.sampled_from(mine.tolist())
+            intra = draw(st.lists(st.tuples(local, local), max_size=10))
+        cross = draw(st.lists(st.tuples(gid, gid), max_size=25))
+        if cross and draw(st.booleans()):
+            cross += cross[: draw(st.integers(1, len(cross)))]  # duplicates
+        if cross and draw(st.booleans()):
+            cross += [(b, a) for a, b in cross[:5]]  # reversed
+        frags.append(_frag(mine, core[mine], assigned[mine], intra=intra, cross=cross))
+    return frags, n
+
+
+class TestResolveFragmentsMatchesPerPairLoop:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_fragment_sets())
+    def test_labels_flags_and_counts(self, case):
+        frags, n = case
+        labels, assigned, n_cross, unions = _per_pair_merge(frags, n)
+        counters = Counters()
+        out = resolve_fragments(frags, n, counters=counters)
+        np.testing.assert_array_equal(out.labels, labels)
+        np.testing.assert_array_equal(out.assigned_mask, assigned)
+        assert out.n_cross_pairs == n_cross
+        assert counters.unions == unions

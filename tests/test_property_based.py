@@ -10,6 +10,7 @@ point sets and parameters,
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -150,6 +151,54 @@ class TestUnionFindModel:
         for a in range(n):
             for b in range(n):
                 assert uf.connected(a, b) == (model_find(a) == model_find(b))
+
+
+class TestUnionEdges:
+    """``union_edges`` resolves a batch in one array pass; it must leave
+    the state a loop of ``union`` over the same pairs leaves."""
+
+    @_SETTINGS
+    @given(
+        n=st.integers(1, 40),
+        grow=st.integers(0, 10),
+        prior=st.lists(st.tuples(st.integers(0, 49), st.integers(0, 49)), max_size=40),
+        edges=st.lists(st.tuples(st.integers(0, 49), st.integers(0, 49)), max_size=80),
+        self_loops=st.booleans(),
+        repeat=st.booleans(),
+    )
+    def test_matches_a_loop_of_unions(self, n, grow, prior, edges, self_loops, repeat):
+        batched, looped = UnionFind(n), UnionFind(n)
+        for uf in (batched, looped):
+            for a, b in prior:
+                uf.union(a % n, b % n)
+            ids = uf.extend(grow)
+            np.testing.assert_array_equal(ids, np.arange(n, n + grow))
+        total = n + grow
+        pairs = [(a % total, b % total) for a, b in edges]
+        if self_loops:
+            pairs += [(a, a) for a, _ in pairs[:5]]
+        if repeat:
+            pairs += pairs[: len(pairs) // 2] + [(b, a) for a, b in pairs[:3]]
+        src = np.asarray([a for a, _ in pairs], dtype=np.int64)
+        dst = np.asarray([b for _, b in pairs], dtype=np.int64)
+        effective = batched.union_edges(src, dst)
+        before = looped.counters.unions
+        for a, b in pairs:
+            looped.union(a, b)
+        assert effective == looped.counters.unions - before
+        roots = batched.roots()
+        np.testing.assert_array_equal(roots, looped.roots())
+        assert batched.n_sets == looped.n_sets == np.unique(roots).size
+        assert batched.counters.unions == looped.counters.unions
+        # every root is the smallest element of its set
+        assert (roots <= np.arange(total)).all()
+        np.testing.assert_array_equal(roots[roots], roots)
+
+    def test_rejects_unequal_lengths(self):
+        uf = UnionFind(4)
+        with pytest.raises(ValueError, match="equal lengths"):
+            uf.union_edges(np.array([0, 1]), np.array([2]))
+        assert uf.n_sets == 4
 
 
 class TestMbrProperties:
