@@ -119,10 +119,9 @@ def stream(
     exact after every update — identical (up to relabeling) to
     :func:`fit` on the live window.
 
-    Shares the batch vocabulary: ``metric``, ``builder_block_size``,
-    ``max_entries`` pass through, plus the
-    streaming knobs ``window``, ``compact_every``,
-    ``compact_dirty_fraction`` (docs/STREAMING.md).  Only
+    Shares the batch vocabulary: ``metric`` and ``builder_block_size``
+    pass through, plus the streaming knobs ``window``,
+    ``compact_every``, ``compact_dirty_fraction`` (docs/STREAMING.md).  Only
     ``engine="streaming"`` exists — the keyword is accepted for
     symmetry with :func:`fit` and reserved for future tiers.
     """

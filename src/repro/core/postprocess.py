@@ -66,11 +66,11 @@ def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
       distributed state has any) — halo points whose core status lives
       at a remote rank.  They must not glue local components, so they
       never enter the graph; instead each ε-adjacent (block, candidate)
-      relation is forwarded once, from the first adjacent block row,
-      through ``state.union`` (which the distributed state turns into a
-      cross pair, judged at the global merge under the real flags).
-      An unknown candidate is a halo singleton, so no start root hides
-      it from any row.
+      relation is forwarded once, from the first adjacent block row
+      when that row is owned, as a cross pair judged at the global
+      merge under the real flags — the block's pairs in one
+      ``state.defer`` call, in candidate order.  An unknown candidate
+      is a halo singleton, so no start root hides it from any row.
     """
     eps_raw = state.eps_raw
     metric = state.murtree.metric
@@ -127,9 +127,11 @@ def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
             counters.dist_calcs += int(rows.size) * int(unknown_cand.size)
             raw = metric.raw_pairwise(points[rows], points[unknown_cand])
             hit = raw < eps_raw
-            for j in np.flatnonzero(hit.any(axis=0)):
-                i = int(np.argmax(hit[:, j]))  # first adjacent block row
-                state.union(int(rows[i]), int(unknown_cand[int(j)]))
+            j = np.flatnonzero(hit.any(axis=0))
+            first = rows[np.argmax(hit[:, j], axis=0)]  # first adjacent block row
+            # a halo row's relation is the halo owner's to report
+            owned = state.owned[first]
+            state.defer(first[owned], unknown_cand[j[owned]])
 
 
 def postprocess_core(state: MuDBSCANState) -> None:

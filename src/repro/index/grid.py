@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.geometry.distance import sq_dists_to_point
 from repro.instrumentation.counters import Counters
 
 __all__ = [
+    "NO_ID",
     "UniformGrid",
     "cell_order",
     "cell_width",
@@ -34,11 +36,22 @@ __all__ = [
     "hash_cells",
     "neighbor_cells",
     "neighbor_members",
+    "pair_passes",
+    "run_minima",
+    "run_starts",
 ]
 
 #: element budget of one lookup chunk in :func:`neighbor_cells` — bounds
 #: its largest temporary (int64 probes or differences) to 4 MiB
 _NEIGHBOR_TEMP_ELEMS = 1 << 19
+
+#: elements one :func:`pair_passes` pass holds at most — bounds the
+#: ``(pairs, d)`` temporaries of the pair kernels that score a pass
+#: (prediction, streaming neighborhoods) whatever the batch
+_PAIR_BUDGET = 1 << 16
+
+#: sentinel id, larger than any row or micro-cluster id
+NO_ID = np.iinfo(np.int64).max
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -195,6 +208,53 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
         np.cumsum(out, out=out)
     return out
+
+
+def pair_passes(
+    owner: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Lay the ranges ``starts[j] .. starts[j] + lengths[j] - 1`` one
+    after another and cut them into passes of at most ``_PAIR_BUDGET``
+    elements; yields each pass's ``(owner of each element, element)``.
+    A range may be split between passes."""
+    budget = _PAIR_BUDGET
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    if total <= budget:  # the common case, a single pass
+        if total:
+            yield np.repeat(owner, lengths), concat_ranges(starts, lengths)
+        return
+    begins = ends - lengths
+    for a in range(0, total, budget):
+        b = min(a + budget, total)
+        i = int(np.searchsorted(ends, a, side="right"))
+        j = int(np.searchsorted(begins, b, side="left"))
+        lo = np.maximum(begins[i:j], a)
+        n = np.minimum(ends[i:j], b) - lo
+        yield (
+            np.repeat(owner[i:j], n),
+            concat_ranges(starts[i:j] + (lo - begins[i:j]), n),
+        )
+
+
+def run_starts(ids: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in the non-empty ``ids``."""
+    return np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+
+
+def run_minima(
+    owner: np.ndarray, raw: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per run of equal ``owner`` values (each owner's pairs adjacent):
+    the owner, its smallest ``raw`` and the smallest of ``ids`` at that
+    value — the nearest-then-lowest-id tie-break, as segment
+    reductions."""
+    if not owner.size:
+        return owner, raw, ids
+    run = run_starts(owner)
+    low = np.minimum.reduceat(raw, run)
+    at_low = raw == np.repeat(low, np.diff(run, append=raw.size))
+    return owner[run], low, np.minimum.reduceat(np.where(at_low, ids, NO_ID), run)
 
 
 def csr_from_parts(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,10 @@ A second pass re-processes the ``unassignedList``: join a center within
 ``eps`` if one exists by now, else create an MC (no deferral the second
 time — every point must land somewhere).
 
+The scan may also start from MCs that already exist (``centers``): the
+streaming engine places every batch, and every compaction's rows, this
+way against its live MCs.
+
 The paper's first-level R-tree stores each MC as the fixed box
 ``center ± eps``: every member is strictly within ``eps`` of the center,
 so the box bounds the MC forever and never needs widening on insertion.
@@ -72,6 +76,7 @@ def build_micro_cluster_arrays(
     defer_2eps: bool = True,
     metric: Metric = EUCLIDEAN,
     block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
+    centers: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run Algorithm 3 over ``points``.
 
@@ -87,14 +92,21 @@ def build_micro_cluster_arrays(
         immediately founds a new MC.
     block_size:
         Rows per vectorized sweep block.
+    centers:
+        ``(k, d)`` centers of MCs ``0..k-1`` that exist before the
+        scan's first row (the streaming engine's live MCs); rows join,
+        defer against and are founded beside them exactly as if they
+        had been created earlier in the same scan.  ``None`` (the fit)
+        means ``k = 0``.
 
     Returns
     -------
     ``(point_mc, center_rows, member_offsets, member_flat)``:
-    ``point_mc[i]`` is the MC id of dataset point ``i``,
-    ``center_rows[k]`` the row that founded MC ``k``, and MC ``k``'s
-    members are ``member_flat[member_offsets[k]:member_offsets[k + 1]]``
-    in assignment order, its founder first.
+    ``point_mc[i]`` is the MC id of dataset point ``i`` (below ``k``:
+    it joined a given center), ``center_rows[j]`` the row that founded
+    MC ``k + j``, and MC ``c``'s rows of ``points`` are
+    ``member_flat[member_offsets[c]:member_offsets[c + 1]]`` in
+    assignment order, a founder first.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -104,6 +116,15 @@ def build_micro_cluster_arrays(
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     counters = counters if counters is not None else Counters()
+    centers = pts[:0] if centers is None else np.asarray(centers, dtype=np.float64)
+    if centers.shape[1:] != pts.shape[1:]:
+        raise ValueError(f"centers must be (k, {pts.shape[1]}), got {centers.shape}")
+    n_centers = centers.shape[0]
+    if pts.shape[0] == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.zeros(n_centers + 1, dtype=np.int64), empty
+    if n_centers:  # the centers are the scan's rows 0..k-1, MCs 0..k-1
+        pts = np.concatenate([centers, pts])
     n, dim = pts.shape
     cover = metric.l2_cover_factor(dim)
     eps_raw = metric.threshold(eps)
@@ -111,10 +132,6 @@ def build_micro_cluster_arrays(
     search_radius = (2.0 * eps if defer_2eps else eps) * cover
 
     point_mc = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return point_mc, empty, np.zeros(1, dtype=np.int64), empty
-
     deferred: list[int] = []
     assigned: list[np.ndarray] = []  # rows in scan assignment order
     # a point's ball of search_radius can only touch a center's ε-box
@@ -123,9 +140,13 @@ def build_micro_cluster_arrays(
     cells, cell_of = hash_cells(pts, search_radius + eps)
     k = cells.shape[0]
     stencil = 3**dim <= k
-    if stencil:  # every cell's adjacent cells, once
-        adj_ptr, adj = neighbor_cells(cells)
-        adj_count = np.diff(adj_ptr)
+    if stencil:  # the adjacent cells of every cell a swept row lies in, once
+        swept = np.flatnonzero(np.bincount(cell_of[n_centers:], minlength=k))
+        swept_ptr, adj = neighbor_cells(cells[swept], cells)
+        adj_count = np.zeros(k, dtype=np.int64)  # none for the centers' other cells
+        adj_count[swept] = np.diff(swept_ptr)
+        adj_ptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(adj_count, out=adj_ptr[1:])
         # a block's rows by cell: cell c's start at b_first[c], b_count[c]
         # of them (zero outside the block)
         b_first, b_count = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
@@ -138,6 +159,19 @@ def build_micro_cluster_arrays(
     m = 0  # MCs so far
     no_id = np.iinfo(np.int64).max
     origin = np.zeros(dim)
+
+    def file(born: np.ndarray) -> None:
+        """Make the rows ``born`` MCs ``m, m + 1, ...`` and file each
+        after its cell's earlier MCs."""
+        nonlocal m
+        ids = np.arange(m, m + born.shape[0])
+        point_mc[born], center_rows[ids] = ids, born
+        by = np.argsort(cell_of[born], kind="stable")
+        c = cell_of[born][by]
+        rank = np.arange(c.shape[0]) - np.searchsorted(c, c)  # within cell
+        slots[slot_lo[c] + fill[c] + rank] = ids[by]
+        np.add.at(fill, c, 1)
+        m += born.shape[0]
 
     def gather(
         bpts: np.ndarray,
@@ -194,7 +228,6 @@ def build_micro_cluster_arrays(
 
     def sweep(rows: np.ndarray, radius: float, defer: bool) -> None:
         """One Algorithm-3 pass over ``rows`` in order, blockwise."""
-        nonlocal m
         placed = two_eps_raw if defer else eps_raw  # join or defer below this
         r2 = radius * radius
         for start in range(0, rows.shape[0], block_size):
@@ -253,15 +286,7 @@ def build_micro_cluster_arrays(
                     found[idx] = ~(best_raw[idx] < placed)
                 mc_id += 1
             born = block[found]  # the rows still on the list founded MCs
-            ids = np.arange(m, mc_id)
-            point_mc[born], center_rows[ids] = ids, born
-            # file the newborns after their cells' earlier MCs
-            by = np.argsort(cell_of[born], kind="stable")
-            c = cell_of[born][by]
-            rank = np.arange(c.shape[0]) - np.searchsorted(c, c)  # within cell
-            slots[slot_lo[c] + fill[c] + rank] = ids[by]
-            np.add.at(fill, c, 1)
-            m = mc_id
+            file(born)
             counters.micro_clusters += born.shape[0]
             counters.dist_calcs += int(cnt.sum())
             join = ~found & (best_raw < eps_raw)
@@ -271,8 +296,9 @@ def build_micro_cluster_arrays(
             counters.deferred_points += int(np.count_nonzero(wait))
             assigned.append(block[~wait])
 
+    file(np.arange(n_centers, dtype=np.int64))  # the given centers
     # ---- pass 1: scan, join / defer / create --------------------------
-    sweep(np.arange(n, dtype=np.int64), search_radius, defer_2eps)
+    sweep(np.arange(n_centers, n, dtype=np.int64), search_radius, defer_2eps)
     # ---- pass 2: place deferred points --------------------------------
     if deferred:
         sweep(np.asarray(deferred, dtype=np.int64), eps * cover, False)
@@ -283,7 +309,8 @@ def build_micro_cluster_arrays(
     owner = point_mc[order]
     by_mc = np.argsort(owner, kind="stable")
     member_offsets = np.searchsorted(owner[by_mc], np.arange(m + 1))
-    return point_mc, center_rows[:m].copy(), member_offsets, order[by_mc]
+    return (point_mc[n_centers:], center_rows[n_centers:m] - n_centers,
+            member_offsets, order[by_mc] - n_centers)
 
 
 def build_micro_clusters(

@@ -30,12 +30,20 @@ def compute_reachable(
     eps: float,
     counters: Counters | None = None,
     metric: Metric = EUCLIDEAN,
+    *,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reachable MCs of every MC, given the ``(m, d)`` MC centers.
 
     Returns the CSR ``(reach_offsets, reach_flat)``: MC ``i``'s
     reachable MC ids are ``reach_flat[reach_offsets[i]:reach_offsets[i
     + 1]]``, sorted ascending.
+
+    ``rows`` (ascending MC ids; default all) restricts the join to the
+    lists of those MCs: the CSR then holds MC ``rows[i]``'s list at
+    position ``i``, and each list and its ``dist_calcs`` are the full
+    join's.  The streaming engine joins only the MCs a batch founds
+    this way, and gets the rest of their entries from symmetry.
 
     A spatial join over a uniform grid of the centers; the paper's
     first-level tree is not needed.  The paper probes that tree once per
@@ -64,21 +72,27 @@ def compute_reachable(
     limit_raw = metric.threshold(3.0 * eps)
     lows = centers - eps
     highs = centers + eps
+    queries = np.arange(m) if rows is None else np.asarray(rows, dtype=np.int64)
     cells, cell_of = hash_cells(centers, radius + eps)
     by_cell = np.argsort(cell_of, kind="stable")  # ids grouped by cell
     per_cell = np.bincount(cell_of, minlength=cells.shape[0])
     start = np.zeros(cells.shape[0] + 1, dtype=np.int64)
     np.cumsum(per_cell, out=start[1:])
-    # candidates of cell c: the members of its neighbour cells, flattened
+    # the queried MCs grouped by cell: q_cells[c]'s are
+    # q_by_cell[q_start[c]:q_start[c + 1]]
+    q_by_cell = queries[np.argsort(cell_of[queries], kind="stable")]
+    q_cells, q_start = np.unique(cell_of[q_by_cell], return_index=True)
+    q_start = np.r_[q_start, q_by_cell.shape[0]]
+    # candidates of q_cells[c]: the members of its neighbour cells, flattened
     cand_start, cand = neighbor_members(
-        *neighbor_cells(cells), start[:-1], per_cell, by_cell
+        *neighbor_cells(cells[q_cells], cells), start[:-1], per_cell, by_cell
     )
 
     n_hit = 0
-    src: list[np.ndarray] = []
-    dst: list[np.ndarray] = []
-    for c in range(cells.shape[0]):
-        rows = by_cell[start[c] : start[c + 1]]
+    src: list[np.ndarray] = [queries[:0]]
+    dst: list[np.ndarray] = [queries[:0]]
+    for c in range(q_cells.shape[0]):
+        rows = q_by_cell[q_start[c] : q_start[c + 1]]
         ids = cand[cand_start[c] : cand_start[c + 1]]
         c_lows, c_highs, c_centers = lows[ids], highs[ids], centers[ids]
         step = max(1, _JOIN_TEMP_ELEMS // (ids.shape[0] * d))
@@ -95,5 +109,5 @@ def compute_reachable(
     src_all = np.concatenate(src)
     dst_all = np.concatenate(dst)
     order = np.lexsort((dst_all, src_all))
-    reach_offsets = np.searchsorted(src_all[order], np.arange(m + 1))
+    reach_offsets = np.r_[np.searchsorted(src_all[order], queries), src_all.shape[0]]
     return reach_offsets, dst_all[order].astype(np.int64)

@@ -51,10 +51,10 @@ integer cast, and every routed quotient stays within ±(2**40 + 2).
 
 Scoring: one per-pair kernel.  The surviving (query, MC) pairs are
 expanded to (query, member) pairs through the stored member CSR and
-scored in passes of at most ``_PAIR_BUDGET`` pairs and at most
-``block_size`` query rows; counts, the nearest core and its
-smallest-row tie-break come from segment reductions over each query's
-run of pairs.
+scored in passes of at most ``repro.index.grid._PAIR_BUDGET`` pairs
+(:func:`~repro.index.grid.pair_passes`) and at most ``block_size``
+query rows; counts, the nearest core and its smallest-row tie-break
+come from segment reductions over each query's run of pairs.
 
 Two floating-point details make the equality with the oracle *bitwise*,
 not merely approximate.  First, each pair is scored with
@@ -73,18 +73,20 @@ routing is pruning-only, so the widening never changes an answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
 from repro.index.grid import (
+    NO_ID,
     cell_order,
     cell_width,
-    concat_ranges,
     hash_cells,
     neighbor_cells,
     neighbor_members,
+    pair_passes,
+    run_minima,
+    run_starts,
 )
 from repro.instrumentation.counters import Counters
 from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE
@@ -92,21 +94,12 @@ from repro.observability.tracing import maybe_span
 
 __all__ = ["PredictResult", "RouteTable", "predict_model", "brute_predict"]
 
-#: sentinel "no core neighbor" row — larger than any real dataset row
-_NO_ROW = np.iinfo(np.int64).max
-
 #: relative widening of the 2ε routing radius.  Routing only *prunes* —
 #: the per-member strict-< test decides — so widening can never change
 #: an answer; it only keeps floating-point rounding in the center
 #: distances from dropping a micro-cluster whose true center distance
 #: is marginally under 2ε.
 _ROUTING_SLACK = 1e-6
-
-#: (query, candidate) pairs one scoring pass holds at most — bounds the
-#: pass's ``(pairs, d)`` difference temporaries whatever the batch size
-#: or the micro-cluster sizes
-_PAIR_BUDGET = 1 << 16
-
 
 @dataclass
 class PredictResult:
@@ -172,7 +165,7 @@ def _finalize(
     counts: np.ndarray,
 ) -> PredictResult:
     """Shared tail: sentinel → (-1, inf) and the MinPts rule."""
-    has_core = best_row != _NO_ROW
+    has_core = best_row != NO_ID
     if labels_src.size:
         labels = np.where(has_core, labels_src[np.where(has_core, best_row, 0)], -1)
     else:
@@ -251,7 +244,7 @@ class RouteTable:
         route_raw = metric.threshold(self.reach)
         origin = np.zeros(q.shape[1])
         q_idx, mc_ids = [rows[:0]], [rows[:0]]
-        for idx, pos in _passes(rows, start[q_cell], lengths):
+        for idx, pos in pair_passes(rows, start[q_cell], lengths):
             mc = cand[pos]
             diff = np.take(self.centers, mc, axis=0)
             diff -= np.take(q, idx, axis=0)
@@ -259,37 +252,6 @@ class RouteTable:
             q_idx.append(idx[keep])
             mc_ids.append(mc[keep])
         return np.concatenate(q_idx), np.concatenate(mc_ids), int(lengths.sum())
-
-
-def _passes(
-    owner: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Lay the ranges ``starts[j] .. starts[j] + lengths[j] - 1`` one
-    after another and cut them into passes of at most ``_PAIR_BUDGET``
-    elements; yields each pass's ``(owner of each element, element)``.
-    A range may be split between passes."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    if total <= _PAIR_BUDGET:  # the common case, a single pass
-        if total:
-            yield np.repeat(owner, lengths), concat_ranges(starts, lengths)
-        return
-    begins = ends - lengths
-    for a in range(0, total, _PAIR_BUDGET):
-        b = min(a + _PAIR_BUDGET, total)
-        i = int(np.searchsorted(ends, a, side="right"))
-        j = int(np.searchsorted(begins, b, side="left"))
-        lo = np.maximum(begins[i:j], a)
-        n = np.minimum(ends[i:j], b) - lo
-        yield (
-            np.repeat(owner[i:j], n),
-            concat_ranges(starts[i:j] + (lo - begins[i:j]), n),
-        )
-
-
-def _runs(ids: np.ndarray) -> np.ndarray:
-    """Start of each run of equal values in the non-empty ``ids``."""
-    return np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
 
 
 def _score_pass(
@@ -309,17 +271,12 @@ def _score_pass(
     diff -= np.take(q, q_idx, axis=0)
     raw = model.metric.raw_to_point(diff, np.zeros(q.shape[1]))
     hit = raw < eps_raw
-    run = _runs(q_idx)
+    run = run_starts(q_idx)
     counts[q_idx[run]] += np.add.reduceat(hit, run, dtype=np.int64)
     core = np.flatnonzero(hit & model.core_mask[rows])
     if not core.size:
         return
-    c_idx, c_raw, c_row = q_idx[core], raw[core], rows[core]
-    run = _runs(c_idx)
-    low = np.minimum.reduceat(c_raw, run)
-    at_low = c_raw == np.repeat(low, np.diff(run, append=core.size))
-    low_row = np.minimum.reduceat(np.where(at_low, c_row, _NO_ROW), run)
-    tgt = c_idx[run]
+    tgt, low, low_row = run_minima(q_idx[core], raw[core], rows[core])
     take = (low < best_raw[tgt]) | ((low == best_raw[tgt]) & (low_row < best_row[tgt]))
     best_raw[tgt[take]] = low[take]
     best_row[tgt[take]] = low_row[take]
@@ -364,7 +321,7 @@ def predict_model(
         counters.queries_run += k
         counts = np.zeros(k, dtype=np.int64)
         best_raw = np.full(k, np.inf, dtype=np.float64)
-        best_row = np.full(k, _NO_ROW, dtype=np.int64)
+        best_row = np.full(k, NO_ID, dtype=np.int64)
         if k and model.n:
             table = model.route_table
             eps_raw = model.metric.threshold(model.params.eps)
@@ -379,7 +336,7 @@ def predict_model(
                 counters.dist_calcs += tested + pairs
                 with maybe_span("serving.score", mc_pairs=mc.size, pairs=pairs):
                     # the block's slices are views: passes write through
-                    for idx, pos in _passes(q_idx, offsets[mc], sizes):
+                    for idx, pos in pair_passes(q_idx, offsets[mc], sizes):
                         _score_pass(
                             model, qb, idx, model.member_flat[pos], eps_raw,
                             counts[block], best_raw[block], best_row[block],
@@ -418,7 +375,7 @@ def brute_predict(
 
     counts = np.zeros(k, dtype=np.int64)
     best_raw = np.full(k, np.inf, dtype=np.float64)
-    best_row = np.full(k, _NO_ROW, dtype=np.int64)
+    best_row = np.full(k, NO_ID, dtype=np.int64)
     if pts.shape[0]:
         core_rows = np.flatnonzero(core_mask)
         for start in range(0, k, block_size):
@@ -433,7 +390,7 @@ def brute_predict(
                 best_raw[sl] = raw_core.min(axis=1)
                 hit = np.isfinite(best_raw[sl])
                 rows_pick = np.where(
-                    raw_core <= best_raw[sl][:, None], core_rows[None, :], _NO_ROW
+                    raw_core <= best_raw[sl][:, None], core_rows[None, :], NO_ID
                 ).min(axis=1)
-                best_row[sl] = np.where(hit, rows_pick, _NO_ROW)
+                best_row[sl] = np.where(hit, rows_pick, NO_ID)
     return _finalize(labels, min_pts, metric, best_raw, best_row, counts)

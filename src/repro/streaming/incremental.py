@@ -2,22 +2,33 @@
 
 The batch pipeline runs Algorithms 3–8 once over a fixed dataset.  This
 module maintains the *same* clustering under a live update stream
-without re-running the pipeline:
+without re-running the pipeline, on the fit's own kernels:
 
-* **micro-cluster structure** — Algorithm 3 incrementally: a new point
-  joins the nearest MC whose center is strictly within ε (one level-1
-  R-tree probe) or founds one; MC centers never move, so the fixed
-  ``center ± eps`` boxes and the symmetric 3ε reachability lists stay
-  valid (Lemma 3 is purely geometric).  Deletions remove the member but
-  keep the center as a *virtual* anchor — Theorem 1 holds for any valid
-  MC partition, and a partition anchored on a departed point is still
-  valid (members strictly within ε of the anchor, anchors pairwise
-  ≥ ε apart).  DMC / CMC / SMC status is maintained per update from the
-  live inner-circle and member counts.
+* **micro-cluster structure** — every batch is placed by the fit's grid
+  builder (:func:`~repro.microcluster.builder.build_micro_cluster_arrays`)
+  with the centers of the live MCs near it as input: a point joins the
+  nearest center strictly within ε (lowest MC id on exact ties), waits
+  for the second pass when one lies within 2ε, and founds an MC
+  otherwise.  MC centers never move, so the fixed ``center ± eps``
+  boxes and the 3ε reach lists stay valid (Lemma 3 is purely
+  geometric); the MCs a batch founds are joined against the live
+  centers near them by
+  :func:`~repro.microcluster.reachability.compute_reachable` and
+  spliced into the reach CSR, and compaction drops dissolved MCs from
+  it, so every list equals a join over all live centers.
+  Deletions remove the member but keep the center as a *virtual*
+  anchor — Theorem 1 holds for any valid MC partition, and a partition
+  anchored on a departed point is still valid (members strictly within
+  ε of the anchor, anchors pairwise ≥ ε apart).  The state is flat
+  arrays — each MC's center row, alive flag and inner-circle count,
+  and the reach CSR; an MC's members are the live rows whose
+  ``point_mc`` names it, and it is *degenerate* when its center row is
+  dead.
 * **core status** — the exact live neighbor count ``|N_ε(p)|`` of every
   live point, updated from the ε-neighborhoods of the inserted/deleted
   points only (symmetry: the points whose count changes are exactly the
-  ε-neighbors of the update batch).
+  ε-neighbors of the update batch).  Neighborhoods are (row, member)
+  pairs expanded through the reach CSR and scored in budgeted passes.
 * **cluster components** — a union-find over *label ids*, not rows.
   Insertions only ever merge components (a promotion adds core-core
   edges), handled by unioning the promoted core with its core
@@ -26,16 +37,18 @@ without re-running the pipeline:
   of a component that lost a core gets a fresh label and is re-linked
   against its core neighbors (a component is closed under core
   adjacency, so the repair region never leaks).  No global re-cluster
-  happens on any path — the per-batch query counters prove it.
+  happens on any path — the per-batch query counters prove it.  Once
+  the label ids outnumber twice the live cores, the live cores'
+  canonical labels are renumbered densely into a fresh union-find, so
+  its size follows the window, not the stream's history.
 * **border points** — resolved lazily and canonically (nearest core
   strictly within ε, ties to the lowest row id) with a per-row cache
   that is invalidated exactly when the row's neighborhood or a nearby
   core's status changed.
-* **compaction** — degenerate MCs (dead center or emptied) are
-  dissolved and their live members re-assigned through Algorithm 3;
-  only the level-1 tree (m entries, not n points) and the touched reach
-  lists are rebuilt.  By Theorem 1 this never changes labels, which is
-  exactly the compaction-idempotence property the tests check.
+* **compaction** — degenerate MCs are dissolved and their live members
+  placed again through the builder against the surviving centers.  By
+  Theorem 1 this never changes labels, which is exactly the
+  compaction-idempotence property the tests check.
 
 See docs/STREAMING.md for the invariants and the windowed-exactness
 argument; :mod:`repro.validation.exactness` provides the checker that
@@ -55,16 +68,14 @@ from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.geometry.distance import require_finite
 from repro.geometry.metrics import Metric, get_metric
-from repro.index.bulk import str_bulk_load
-from repro.index.grid import csr_from_parts
-from repro.index.rtree import RTree
+from repro.index.grid import cell_width, concat_ranges, pair_passes, run_minima
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.builder import (
     DEFAULT_BUILDER_BLOCK_SIZE,
     build_micro_cluster_arrays,
 )
-from repro.microcluster.microcluster import MCKind, freeze_arrays
+from repro.microcluster.microcluster import MCKind
 from repro.microcluster.reachability import compute_reachable
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
@@ -114,22 +125,22 @@ class StreamingMuDBSCAN:
     window:
         Maximum live points (``None`` = unbounded; no expiry).
     builder_block_size:
-        Rows per vectorized block, honoured by *every* update batch
-        (not just the bulk seed): the seed's grid builder sweeps
-        blocks of this many rows, and each update batch's
-        neighborhoods go through the stable pairwise kernel this many
-        rows at a time.  Results do not depend on it.
+        Rows per vectorized block of the grid builder, which places
+        every batch: the first, every later insert and every
+        compaction's re-placed rows.  Results do not depend on it.
     compact_every:
         Compact after this many update calls (``None`` = only on the
         degeneracy trigger below, or manually).
     compact_dirty_fraction:
         Auto-compact when more than this fraction of the live MCs is
-        degenerate (dead center or emptied).
+        degenerate (dead center).
 
-    The per-update maintenance cost is proportional to the update's
-    neighborhood (plus the repaired components on delete), never to the
-    buffer size — ``last_update_stats`` exposes the per-batch counters
-    the tests gate on.
+    The per-update queries and distance work are proportional to the
+    update's neighborhood (plus the repaired components on delete),
+    never to the window — ``last_update_stats`` exposes the per-batch
+    counters the tests gate on.  The window adds a few vectorized
+    passes per update: picking the live centers near the batch, and
+    splicing the member cache and the reach CSR.
     """
 
     @deprecated_alias(minpts="min_pts", min_samples="min_pts")
@@ -141,7 +152,6 @@ class StreamingMuDBSCAN:
         *,
         metric: str | Metric = "euclidean",
         window: int | None = None,
-        max_entries: int = 64,
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         compact_every: int | None = None,
         compact_dirty_fraction: float = 0.25,
@@ -156,7 +166,6 @@ class StreamingMuDBSCAN:
         self.dim = dim
         self.metric = get_metric(metric)
         self.window = window
-        self.max_entries = max_entries
         self.builder_block_size = int(builder_block_size)
         self.compact_every = compact_every
         self.compact_dirty_fraction = float(compact_dirty_fraction)
@@ -178,20 +187,20 @@ class StreamingMuDBSCAN:
         self._border = np.full(0, _UNKNOWN, dtype=np.int64)  # cache, see sentinels
         self._point_mc = np.full(0, -1, dtype=np.int64)
 
-        # micro-cluster state
-        self._members: list[list[int]] = []  # live member rows per MC
-        self._centers: list[np.ndarray] = []
-        self._center_rows: list[int] = []
-        self._reach_ids: list[list[int]] = []  # symmetric, center-dist <= 3eps
-        self._mc_alive: list[bool] = []
-        self._n_ic: list[int] = []  # live members strictly within eps/2
-        self._degenerate: set[int] = set()  # alive MCs needing compaction
+        # micro-cluster state, indexed by MC id (ids are never reused)
+        self._center_rows = np.zeros(0, dtype=np.int64)
+        self._mc_alive = np.zeros(0, dtype=bool)
+        self._ic_count = np.zeros(0, dtype=np.int64)  # live members < eps/2 away
+        # reach lists as a CSR over MC ids: the live MCs whose centers
+        # are at most 3eps apart (symmetric, self included); empty for
+        # dissolved MCs
+        self._reach_offsets = np.zeros(1, dtype=np.int64)
+        self._reach_flat = np.zeros(0, dtype=np.int64)
+        self._member_cache: tuple[np.ndarray, ...] | None = None  # _live_members
 
         # label union-find (labels are only ever created and merged;
-        # splits mint fresh labels, so ids grow monotonically)
+        # splits mint fresh labels, renumbered by _bound_label_ids)
         self._label_uf = UnionFind(0, counters=self.counters)
-
-        self._tree_obj: RTree | None = None
 
         # lifecycle / telemetry
         self.compactions_total = 0
@@ -220,7 +229,7 @@ class StreamingMuDBSCAN:
 
     @property
     def n_micro_clusters(self) -> int:
-        return sum(1 for a in self._mc_alive if a)
+        return int(np.count_nonzero(self._mc_alive))
 
     @property
     def points(self) -> np.ndarray:
@@ -253,158 +262,199 @@ class StreamingMuDBSCAN:
         return self._core[self.live_rows()].copy()
 
     def mc_kind_counts(self) -> dict[str, int]:
-        """Live DMC / CMC / SMC counts (statuses maintained per update)."""
-        counts = {kind.name: 0 for kind in MCKind}
-        min_pts = self.params.min_pts
-        for mc_id, ok in enumerate(self._mc_alive):
-            if not ok or not self._members[mc_id]:
-                continue
-            if self._n_ic[mc_id] >= min_pts:
-                counts[MCKind.DMC.name] += 1
-            elif (
-                len(self._members[mc_id]) >= min_pts
-                and self._alive[self._center_rows[mc_id]]
-            ):
-                counts[MCKind.CMC.name] += 1
-            else:
-                counts[MCKind.SMC.name] += 1
-        return counts
+        """Live DMC / CMC / SMC counts, from the member and inner-circle
+        counts."""
+        size, min_pts = np.diff(self._live_members()[0]), self.params.min_pts
+        live = self._mc_alive & (size > 0)
+        dense = live & (self._ic_count >= min_pts)
+        core = live & ~dense & (size >= min_pts) & self._alive[self._center_rows]
+        n_dense, n_core = int(np.count_nonzero(dense)), int(np.count_nonzero(core))
+        return {
+            MCKind.DMC.name: n_dense,
+            MCKind.CMC.name: n_core,
+            MCKind.SMC.name: int(np.count_nonzero(live)) - n_dense - n_core,
+        }
+
+    # ------------------------------------------------------------------
+    # micro-cluster state
+
+    def _live_members(self) -> tuple[np.ndarray, ...]:
+        """Live member rows of every MC as a CSR over MC ids, each MC's
+        rows ascending, and their coordinates in that order:
+        ``(offsets, rows, coords)``; cached, kept up to date on insert
+        and delete, and rebuilt after a compaction moves rows."""
+        empty = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), self.points[:0]
+        if self.dim is None:  # no batch yet, so no coordinate width to cache
+            return empty
+        if self._member_cache is None:  # file every live row into an empty cache
+            self._member_cache = empty
+            self._add_members(self.live_rows())
+        return self._member_cache
+
+    def _add_members(self, rows: np.ndarray) -> None:
+        """File the placed ``rows``, newer than every member, at the end
+        of their MCs' runs in the member cache."""
+        if self._member_cache is None:
+            return
+        offsets, members, coords = self._member_cache
+        n_mcs = self._center_rows.size  # cover the new MCs too
+        offsets = np.r_[offsets, np.full(n_mcs + 1 - offsets.size, offsets[-1])]
+        mc = self._point_mc[rows]
+        by = np.argsort(mc, kind="stable")
+        at, rows = offsets[mc[by] + 1], rows[by]
+        offsets[1:] += np.cumsum(np.bincount(mc, minlength=n_mcs))
+        coords = np.insert(coords, at, np.take(self.points, rows, axis=0), axis=0)
+        self._member_cache = (offsets, np.insert(members, at, rows), coords)
+
+    def _drop_members(self, rows: np.ndarray) -> None:
+        """Remove the rows just deleted from the member cache."""
+        if self._member_cache is None:
+            return
+        offsets, members, coords = self._member_cache
+        lost = np.bincount(self._point_mc[rows], minlength=offsets.size - 1)
+        offsets = offsets - np.concatenate([[0], np.cumsum(lost)])
+        keep = np.flatnonzero(self._alive[members])
+        self._member_cache = (offsets, members[keep], np.take(coords, keep, axis=0))
+
+    def _near_centers(self, pts: np.ndarray) -> np.ndarray:
+        """Ascending ids of the live MCs whose centers lie within
+        ``(3 cover + 1) eps`` per axis of the bounding box of ``pts``:
+        every MC a point of ``pts`` can join, defer against (the
+        builder's leaf test) or reach (3ε) is among them."""
+        eps = self.params.eps
+        reach = (3.0 * self.metric.l2_cover_factor(pts.shape[1]) + 1.0) * eps
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        # widened as hash_cells widens its cells, against rounding
+        reach = cell_width(reach, max(np.abs(lo).max(), np.abs(hi).max()) + reach)
+        live = np.flatnonzero(self._mc_alive)
+        near = np.ones(live.size, dtype=bool)
+        centers = np.take(self.points, self._center_rows[live], axis=0)
+        # a column at a time: far cheaper than one broadcast over (k, d)
+        for col, a, b in zip(centers.T, lo - reach, hi + reach):
+            near &= (col >= a) & (col <= b)
+        return live[near]
+
+    def _degenerate_mask(self) -> np.ndarray:
+        """Mask of the live MCs whose center row is dead."""
+        return self._mc_alive & ~self._alive[self._center_rows]
+
+    def _in_inner_circle(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each of ``rows`` lies strictly within ε/2 of its MC's
+        center, by the freezer's test (``member - center``)."""
+        pts = self.points
+        diff = pts[rows] - pts[self._center_rows[self._point_mc[rows]]]
+        raw = self.metric.raw_to_point(diff, np.zeros(diff.shape[1]))
+        return raw < self.metric.threshold(self.params.eps * 0.5)
+
+    def _place(self, rows: np.ndarray) -> None:
+        """Algorithm 3 for ``rows``: the grid builder with the nearby live
+        MCs' centers as input; the MCs it founds join the reach CSR."""
+        if not rows.size:
+            return
+        pts = self.points
+        batch = np.take(pts, rows, axis=0)
+        live_mcs = self._near_centers(batch)
+        point_mc, founders = build_micro_cluster_arrays(
+            batch,
+            self.params.eps,
+            counters=self.counters,
+            metric=self.metric,
+            block_size=self.builder_block_size,
+            centers=pts[self._center_rows[live_mcs]],
+        )[:2]
+        first = self._center_rows.size  # the new MCs' ids follow every old one
+        ids = np.concatenate([live_mcs, np.arange(first, first + founders.size)])
+        self._point_mc[rows] = ids[point_mc]
+        self._center_rows = np.concatenate([self._center_rows, rows[founders]])
+        self._mc_alive = np.concatenate([self._mc_alive, np.ones(founders.size, bool)])
+        self._ic_count = np.concatenate([self._ic_count, np.zeros_like(founders)])
+        np.add.at(self._ic_count, self._point_mc[rows[self._in_inner_circle(rows)]], 1)
+        if founders.size:
+            self._join_reach(first)
+
+    def _join_reach(self, first: int) -> None:
+        """Splice the reach lists of the new MCs ``first, first + 1, ...``
+        into the CSR: the grid join of those MCs against the live
+        centers near them gives their lists, and by symmetry each old
+        MC on a list gains the new one at its end, so every list stays
+        ascending and equal to a join over all live centers."""
+        n_new = self._center_rows.size - first
+        # the new MCs are live, near themselves and the highest ids: last
+        live_mcs = self._near_centers(self.points[self._center_rows[first:]])
+        centers = self.points[self._center_rows[live_mcs]]
+        new = np.arange(live_mcs.size - n_new, live_mcs.size)
+        offsets, flat = compute_reachable(
+            centers, self.params.eps, self.counters, self.metric, rows=new
+        )
+        flat = live_mcs[flat]
+        src = np.repeat(np.arange(first, first + n_new), np.diff(offsets))
+        old = flat < first
+        by = np.lexsort((src[old], flat[old]))  # by old MC, then new MC
+        gained = np.bincount(flat[old], minlength=first)
+        at = self._reach_offsets[flat[old][by] + 1]  # the ends of their lists
+        self._reach_flat = np.concatenate(
+            [np.insert(self._reach_flat, at, src[old][by]), flat]
+        )
+        self._reach_offsets[1:] += np.cumsum(gained)
+        self._reach_offsets = np.concatenate(
+            [self._reach_offsets, self._reach_flat.size - offsets[-1] + offsets[1:]]
+        )
+
+    def _drop_reach(self) -> None:
+        """Remove the dissolved MCs' lists, and every entry naming one,
+        from the reach CSR."""
+        n_mcs = self._reach_offsets.size - 1
+        src = np.repeat(np.arange(n_mcs), np.diff(self._reach_offsets))
+        keep = self._mc_alive[src] & self._mc_alive[self._reach_flat]
+        self._reach_flat = self._reach_flat[keep]
+        self._reach_offsets[1:] = np.cumsum(np.bincount(src[keep], minlength=n_mcs))
 
     # ------------------------------------------------------------------
     # neighborhood machinery
 
-    def _candidate_rows(self, mc_id: int) -> np.ndarray:
-        """Live rows of every MC reachable from ``mc_id`` (Lemma 3: the
-        complete ε-candidate set for any point of ``mc_id``)."""
-        parts = [
-            self._members[w]
-            for w in self._reach_ids[mc_id]
-            if self._mc_alive[w] and self._members[w]
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
-
     def _bulk_neighbors(
-        self, rows: np.ndarray, pts: np.ndarray, with_raw: bool = False
-    ) -> dict[int, Any]:
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ε-neighborhoods (strict <, self included) of live ``rows``.
 
-        Grouped by owning MC; each group is swept in
-        ``builder_block_size`` blocks through the stable pairwise
-        kernel, whose values do not depend on the block's shape.
+        Each row's candidates are the live members of its MC's reach
+        list (Lemma 3: the complete ε-candidate set); the (row, member)
+        pairs are scored in budgeted passes (:func:`pair_passes`) with the
+        direct per-pair form, whose values do not depend on the pass.
+        Returns the CSR ``(offsets, nbrs, raw)``: row ``rows[i]``'s
+        neighbors are ``nbrs[offsets[i]:offsets[i + 1]]``, with their
+        raw distances alongside.
         """
+        if not rows.size:
+            return np.zeros(1, dtype=np.int64), rows, np.zeros(0)
+        pts = self.points
         metric = self.metric
         thr = metric.threshold(self.params.eps)
-        out: dict[int, Any] = {}
-        by_mc: dict[int, list[int]] = {}
-        for r in np.asarray(rows, dtype=np.int64):
-            by_mc.setdefault(int(self._point_mc[r]), []).append(int(r))
-        for mc_id, group in by_mc.items():
-            cand = self._candidate_rows(mc_id)
-            cpts = pts[cand]
-            self.counters.queries_run += len(group)
-            self.counters.dist_calcs += len(group) * cand.shape[0]
-            block = self.builder_block_size
-            for start in range(0, len(group), block):
-                blk = group[start : start + block]
-                raw = metric.raw_pairwise_stable(pts[blk], cpts)
-                for i, r in enumerate(blk):
-                    mask = raw[i] < thr
-                    out[r] = (cand[mask], raw[i][mask]) if with_raw else cand[mask]
-        return out
-
-    # ------------------------------------------------------------------
-    # Algorithm 3, incremental
-
-    def _cover(self) -> float:
-        return self.metric.l2_cover_factor(int(self.dim or 1))
-
-    def _try_join(self, row: int, p: np.ndarray) -> int | None:
-        """Join the nearest alive MC whose center is strictly within ε."""
-        eps = self.params.eps
-        metric = self.metric
-        candidates = [
-            int(c)
-            for c in self._tree.query_ball_candidates(p, eps * self._cover())
-            if self._mc_alive[int(c)]
-        ]
-        if not candidates:
-            return None
-        centers = np.stack([self._centers[c] for c in candidates])
-        self.counters.dist_calcs += len(candidates)
-        raw = metric.raw_to_point(centers, p)
-        best = int(np.argmin(raw))
-        if raw[best] < metric.threshold(eps):
-            mc_id = candidates[best]
-            self._members[mc_id].append(row)
-            if raw[best] < metric.threshold(eps * 0.5):
-                self._n_ic[mc_id] += 1
-            return mc_id
-        return None
-
-    def _near_2eps(self, p: np.ndarray) -> bool:
-        eps = self.params.eps
-        metric = self.metric
-        candidates = [
-            int(c)
-            for c in self._tree.query_ball_candidates(p, 2.0 * eps * self._cover())
-            if self._mc_alive[int(c)]
-        ]
-        if not candidates:
-            return False
-        centers = np.stack([self._centers[c] for c in candidates])
-        self.counters.dist_calcs += len(candidates)
-        raw = metric.raw_to_point(centers, p)
-        return bool(np.any(raw < metric.threshold(2.0 * eps)))
-
-    def _create_mc(self, row: int, p: np.ndarray) -> int:
-        eps = self.params.eps
-        metric = self.metric
-        mc_id = len(self._members)
-        self._members.append([row])
-        self._centers.append(np.array(p, dtype=np.float64))
-        self._center_rows.append(row)
-        self._mc_alive.append(True)
-        self._n_ic.append(1)  # the center itself (distance 0)
-        self._tree.insert(mc_id, p - eps, p + eps)
-        self.counters.micro_clusters += 1
-        reach = [mc_id]
-        candidates = self._tree.query_ball_candidates(p, 3.0 * eps * self._cover())
-        limit = metric.threshold(3.0 * eps)
-        for cand in candidates:
-            cand = int(cand)
-            if cand == mc_id or not self._mc_alive[cand]:
-                continue
-            self.counters.dist_calcs += 1
-            raw = metric.raw_to_point(self._centers[cand][None, :], p)[0]
-            if raw <= limit:
-                reach.append(cand)
-                self._reach_ids[cand].append(mc_id)
-        reach.sort()
-        self._reach_ids.append(reach)
-        return mc_id
-
-    def _assign_rows(self, rows: Iterable[int], pts: np.ndarray) -> None:
-        """Algorithm-3 assignment (join / 2ε-defer / create) for rows
-        already present in the buffer."""
-        deferred: list[int] = []
-        for row in rows:
-            p = pts[row]
-            joined = self._try_join(row, p)
-            if joined is not None:
-                self._point_mc[row] = joined
-                continue
-            if self._near_2eps(p):
-                deferred.append(row)
-                self.counters.deferred_points += 1
-            else:
-                self._point_mc[row] = self._create_mc(row, p)
-        for row in deferred:
-            joined = self._try_join(row, pts[row])
-            self._point_mc[row] = (
-                joined if joined is not None else self._create_mc(row, pts[row])
-            )
+        member_offsets, members, member_pts = self._live_members()
+        mc = self._point_mc[rows]
+        lo = self._reach_offsets[mc]
+        n_reach = self._reach_offsets[mc + 1] - lo
+        reach = self._reach_flat[concat_ranges(lo, n_reach)]
+        sizes = member_offsets[reach + 1] - member_offsets[reach]
+        self.counters.queries_run += rows.shape[0]
+        self.counters.dist_calcs += int(sizes.sum())
+        row_pts = np.take(pts, rows, axis=0)
+        origin = np.zeros(pts.shape[1])
+        owner_parts, nbr_parts, raw_parts = [rows[:0]], [rows[:0]], [row_pts[:0, 0]]
+        for idx, pos in pair_passes(
+            np.repeat(np.arange(rows.shape[0]), n_reach), member_offsets[reach], sizes
+        ):
+            # raw_pairwise_stable's per-pair form: row - candidate
+            diff = np.take(row_pts, idx, axis=0)
+            diff -= np.take(member_pts, pos, axis=0)
+            raw = metric.raw_to_point(diff, origin)
+            hit = np.flatnonzero(raw < thr)
+            owner_parts.append(idx[hit])
+            nbr_parts.append(members[pos[hit]])
+            raw_parts.append(raw[hit])
+        owner = np.concatenate(owner_parts)
+        offsets = np.searchsorted(owner, np.arange(rows.shape[0] + 1))
+        return offsets, np.concatenate(nbr_parts), np.concatenate(raw_parts)
 
     # ------------------------------------------------------------------
     # insert path
@@ -425,20 +475,6 @@ class StreamingMuDBSCAN:
                 f"batch must be (k, {self.dim}), got shape {np.asarray(X).shape}"
             )
         return pts
-
-    @property
-    def _tree(self) -> RTree:
-        tree = getattr(self, "_tree_obj", None)
-        if tree is None:
-            if self.dim is None:
-                raise RuntimeError("dim unknown — insert a batch first")
-            tree = RTree(self.dim, max_entries=self.max_entries, counters=self.counters)
-            self._tree_obj = tree
-        return tree
-
-    @_tree.setter
-    def _tree(self, tree: RTree) -> None:
-        self._tree_obj = tree
 
     def _grow_rows(self, k: int) -> None:
         need = self._n + k
@@ -472,13 +508,10 @@ class StreamingMuDBSCAN:
                 self._n += k
                 self._n_live += k
                 self.n_inserted_total += k
-                pts = self.points
                 with self.timers.phase("stream_insert"):
-                    if base == 0:
-                        self._seed_structure(pts)
-                    else:
-                        self._assign_rows(new_rows.tolist(), pts)
-                    self._absorb(new_rows, pts)
+                    self._place(new_rows)
+                    self._add_members(new_rows)
+                    self._absorb(new_rows)
             expired = self._expire_overflow()
             self._finish_update(before, inserted=k, deleted=0, expired=expired)
         return self
@@ -496,50 +529,17 @@ class StreamingMuDBSCAN:
             raise RuntimeError("seed() requires an empty stream; use partial_fit()")
         self.partial_fit(batch)
 
-    def _seed_structure(self, pts: np.ndarray) -> None:
-        """First batch: the batch fit's Algorithms 3 and 5, its arrays
-        split into the maintained per-MC lists."""
-        eps = self.params.eps
-        point_mc, center_rows, member_offsets, member_flat = build_micro_cluster_arrays(
-            pts,
-            eps,
-            counters=self.counters,
-            metric=self.metric,
-            block_size=self.builder_block_size,
-        )
-        centers = np.take(pts, center_rows, axis=0)
-        reach_offsets, reach_flat = compute_reachable(
-            centers, eps, self.counters, self.metric
-        )
-        ic_offsets = freeze_arrays(
-            pts, center_rows, member_offsets, member_flat, eps, self.metric
-        )[3]
-        self._point_mc[: pts.shape[0]] = point_mc
-        self._members = _split(member_offsets, member_flat)
-        self._centers = list(centers)
-        self._center_rows = center_rows.tolist()
-        self._reach_ids = _split(reach_offsets, reach_flat)
-        self._mc_alive = [True] * len(self._center_rows)
-        self._n_ic = np.diff(ic_offsets).tolist()
-        self._rebuild_level1()
-
-    def _absorb(self, new_rows: np.ndarray, pts: np.ndarray) -> None:
-        """Fold freshly assigned rows into counts / cores / components."""
+    def _absorb(self, new_rows: np.ndarray) -> None:
+        """Fold freshly placed rows into counts / cores / components."""
         base = int(new_rows[0])
         min_pts = self.params.min_pts
-        nb = self._bulk_neighbors(new_rows, pts)
+        offsets, nbrs, _ = self._bulk_neighbors(new_rows)
         # exact count update: the counts that change are exactly the
         # ε-neighbors of the batch (symmetry of the distance)
-        old_parts = []
-        for r in new_rows:
-            nbrs = nb[int(r)]
-            self._ncount[r] = nbrs.shape[0]
-            old_parts.append(nbrs[nbrs < base])
-        old_concat = (
-            np.concatenate(old_parts) if old_parts else np.empty(0, dtype=np.int64)
-        )
-        np.add.at(self._ncount, old_concat, 1)
-        touched_old = np.unique(old_concat)
+        self._ncount[new_rows] = np.diff(offsets)
+        old = nbrs[nbrs < base]
+        np.add.at(self._ncount, old, 1)
+        touched_old = np.unique(old)
 
         # promotions: merges only — no component can split on insert
         promoted_new = new_rows[self._ncount[new_rows] >= min_pts]
@@ -549,33 +549,30 @@ class StreamingMuDBSCAN:
         promoted = np.concatenate([promoted_new, promoted_old])
         self._core[promoted] = True
         self._labels[promoted] = self._label_uf.extend(promoted.size)
-        nb_old = self._bulk_neighbors(promoted_old, pts) if promoted_old.size else {}
-        nb_all = {**nb, **nb_old}
-        self._link_cores(promoted, nb_all)
+        src = np.repeat(new_rows, np.diff(offsets))
+        from_core = self._core[src]  # a new row is core iff promoted
+        old_offsets, old_nbrs, _ = self._bulk_neighbors(promoted_old)
+        old_src = np.repeat(promoted_old, np.diff(old_offsets))
+        self._link_cores(
+            np.concatenate([src[from_core], old_src]),
+            np.concatenate([nbrs[from_core], old_nbrs]),
+        )
 
         # border-cache invalidation: every row whose neighborhood (or
         # whose nearby core set) changed this batch
-        invalid = [new_rows, touched_old]
-        for r in promoted_old:
-            invalid.append(nb_old[int(r)])
-        inv = np.unique(np.concatenate(invalid))
+        inv = np.unique(np.concatenate([new_rows, touched_old, old_nbrs]))
         self._border[inv] = _UNKNOWN
         self.last_update_stats["promotions"] = int(promoted.shape[0])
         self.last_update_stats["touched_rows"] = int(inv.shape[0])
 
-    def _link_cores(self, rows: np.ndarray, nb: dict[int, Any]) -> None:
-        """Union every (core, core) ε-edge incident to ``rows``.
+    def _link_cores(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Union the labels of every (core, core) ε-edge ``(src, dst)``.
 
-        All of ``rows`` carry fresh labels and the core flag already;
-        symmetry makes one directed pass per row sufficient, and the
-        batch's edges resolve in one :meth:`UnionFind.union_edges`."""
-        if not rows.size:
-            return
-        parts = [nb[int(r)] for r in rows]
-        nbrs = np.concatenate(parts)
-        src = np.repeat(rows, [p.size for p in parts])
-        link = self._core[nbrs] & (nbrs != src)
-        self._label_uf.union_edges(self._labels[src[link]], self._labels[nbrs[link]])
+        Every core ``src`` carries a fresh label already; symmetry makes
+        one directed pass per row sufficient, and the batch's edges
+        resolve in one :meth:`UnionFind.union_edges`."""
+        link = self._core[dst] & (dst != src)
+        self._label_uf.union_edges(self._labels[src[link]], self._labels[dst[link]])
 
     # ------------------------------------------------------------------
     # delete / expiry path
@@ -590,13 +587,10 @@ class StreamingMuDBSCAN:
         rows = np.atleast_1d(np.asarray(ids, dtype=np.int64))
         if rows.size == 0:
             return self
-        bad = [
-            int(r)
-            for r in rows
-            if r < 0 or r >= self._n or not self._alive[r]
-        ]
-        if bad:
-            raise ValueError(f"unknown or already-deleted ids: {bad[:8]}")
+        bad = (rows < 0) | (rows >= self._n)
+        bad[~bad] = ~self._alive[rows[~bad]]
+        if bad.any():
+            raise ValueError(f"unknown or already-deleted ids: {rows[bad][:8].tolist()}")
         if np.unique(rows).shape[0] != rows.shape[0]:
             raise ValueError("delete ids contain duplicates")
         with maybe_span(
@@ -610,50 +604,34 @@ class StreamingMuDBSCAN:
         return self
 
     def _delete_rows(self, rows: np.ndarray) -> None:
-        pts = self.points
-        metric = self.metric
         min_pts = self.params.min_pts
-        nb = self._bulk_neighbors(rows, pts)  # all still live here
-        concat = np.concatenate([nb[int(r)] for r in rows])
-        np.add.at(self._ncount, concat, -1)
-        # roots of components that lose a core (captured pre-clear)
-        affected: set[int] = {
-            self._label_uf.find(int(self._labels[r]))
-            for r in rows
-            if self._core[r]
-        }
-        for r in rows:
-            r = int(r)
-            mc_id = int(self._point_mc[r])
-            self._members[mc_id].remove(r)
-            raw = metric.raw_to_point(pts[r][None, :], self._centers[mc_id])[0]
-            if raw < metric.threshold(self.params.eps * 0.5):
-                self._n_ic[mc_id] -= 1
-            if self._center_rows[mc_id] == r or not self._members[mc_id]:
-                self._degenerate.add(mc_id)
-            self._alive[r] = False
-            self._ncount[r] = 0
-            self._core[r] = False
-            self._labels[r] = -1
-            self._border[r] = _UNKNOWN
-            self._n_live -= 1
-        touched = np.unique(concat)
+        _, nbrs, _ = self._bulk_neighbors(rows)  # all still live here
+        np.add.at(self._ncount, nbrs, -1)
+        find = self._label_uf.find
+        # roots of the components that lose a core (captured pre-clear)
+        affected = [find(x) for x in self._labels[rows[self._core[rows]]].tolist()]
+        np.add.at(self._ic_count, self._point_mc[rows[self._in_inner_circle(rows)]], -1)
+        self._alive[rows] = False
+        self._ncount[rows] = 0
+        self._core[rows] = False
+        self._labels[rows] = -1
+        self._border[rows] = _UNKNOWN
+        self._n_live -= rows.shape[0]
+        self._drop_members(rows)
+        touched = np.unique(nbrs)
         touched = touched[self._alive[touched]]
         demoted = touched[self._core[touched] & (self._ncount[touched] < min_pts)]
-        affected.update(self._label_uf.find(int(self._labels[d])) for d in demoted)
+        affected += [find(x) for x in self._labels[demoted].tolist()]
         self._core[demoted] = False
         self._labels[demoted] = -1
-        repaired = 0
-        if affected:
-            repaired = self._repair_components(affected, pts)
+        repaired = self._repair_components(np.unique(affected)) if affected else 0
         inv = np.unique(np.concatenate([touched, demoted]))
-        if inv.size:
-            self._border[inv] = _UNKNOWN
+        self._border[inv] = _UNKNOWN
         self.last_update_stats["demotions"] = int(demoted.shape[0])
         self.last_update_stats["repaired_rows"] = repaired
         self.last_update_stats["touched_rows"] = int(touched.shape[0])
 
-    def _repair_components(self, affected: set[int], pts: np.ndarray) -> int:
+    def _repair_components(self, affected: np.ndarray) -> int:
         """Rebuild connectivity of the touched components only.
 
         A component is closed under core ε-adjacency, so relabelling
@@ -665,47 +643,45 @@ class StreamingMuDBSCAN:
             if crows.size == 0:
                 return 0
             canon = self._label_uf.roots()[self._labels[crows]]
-            region = crows[np.isin(canon, np.fromiter(affected, dtype=np.int64))]
+            region = crows[np.isin(canon, affected)]
             self._labels[region] = self._label_uf.extend(region.size)
-            nb = self._bulk_neighbors(region, pts)
-            self._link_cores(region, nb)
+            offsets, nbrs, _ = self._bulk_neighbors(region)
+            src = np.repeat(region, np.diff(offsets))
+            # the region holds every core ε-adjacent to one of its cores,
+            # so each core edge is listed from both ends: link it once
+            once = src < nbrs
+            self._link_cores(src[once], nbrs[once])
             self.counters.add_extra("stream_repaired_rows", int(region.shape[0]))
             return int(region.shape[0])
+
+    def _oldest(self, n: int) -> np.ndarray:
+        """The ``n`` oldest live rows; the expiry cursor moves past them."""
+        cursor = self._expire_cursor
+        rows = np.flatnonzero(self._alive[cursor : self._n])[:n] + cursor
+        if rows.size:
+            self._expire_cursor = int(rows[-1]) + 1
+        return rows
 
     def _expire_overflow(self) -> int:
         if self.window is None or self._n_live <= self.window:
             return 0
         excess = self._n_live - self.window
-        olds: list[int] = []
-        cursor = self._expire_cursor
-        while len(olds) < excess:
-            if self._alive[cursor]:
-                olds.append(cursor)
-            cursor += 1
-        self._expire_cursor = cursor
         with self.timers.phase("stream_expire"):
-            self._delete_rows(np.asarray(olds, dtype=np.int64))
+            self._delete_rows(self._oldest(excess))
         self.n_expired_total += excess
         return excess
 
     def expire(self, n: int) -> "StreamingMuDBSCAN":
         """Explicitly expire the ``n`` oldest live points."""
+        n = min(n, self._n_live)
         if n < 1:
             return self
-        n = min(n, self._n_live)
-        olds: list[int] = []
-        cursor = self._expire_cursor
-        while len(olds) < n:
-            if self._alive[cursor]:
-                olds.append(cursor)
-            cursor += 1
-        self._expire_cursor = cursor
         with maybe_span(
             "stream_expire", algorithm=ALGORITHM, engine="streaming", batch=n
         ):
             before = self._counter_snapshot()
             with self.timers.phase("stream_expire"):
-                self._delete_rows(np.asarray(olds, dtype=np.int64))
+                self._delete_rows(self._oldest(n))
             self.n_expired_total += n
             self._finish_update(before, inserted=0, deleted=0, expired=n)
         return self
@@ -715,105 +691,85 @@ class StreamingMuDBSCAN:
 
     @property
     def n_degenerate_mcs(self) -> int:
-        return len(self._degenerate)
+        return int(np.count_nonzero(self._degenerate_mask()))
 
     def compact(self, force: bool = False) -> int:
-        """Dissolve degenerate MCs and re-assign their live members.
+        """Dissolve degenerate MCs and re-place their live members.
 
-        Returns the number of MCs rebuilt.  Only the level-1 tree (one
-        entry per MC) and the reach lists touching dissolved/created
-        MCs are rebuilt — per-point state (counts, cores, labels) is
-        untouched, because Theorem 1 makes the clustering independent
-        of the particular valid MC partition.  Hence compaction is
-        idempotent: a second call finds nothing degenerate.
+        Returns the number of MCs dissolved.  The live members are
+        placed through the builder against the surviving centers and
+        the dissolved MCs leave the reach CSR — per-point state
+        (counts, cores, labels) is untouched, because Theorem 1 makes
+        the clustering independent of the particular valid MC
+        partition.  Hence
+        compaction is idempotent: a second call finds nothing
+        degenerate.  ``force`` dissolves every live MC.
         """
         with maybe_span("stream_compact", algorithm=ALGORITHM, engine="streaming"):
-            dirty = [m for m in sorted(self._degenerate) if self._mc_alive[m]]
-            if force:
-                dirty = [m for m in range(len(self._members)) if self._mc_alive[m]]
-            if not dirty:
-                self._updates_since_compact = 0
-                return 0
-            with self.timers.phase("stream_compact"):
-                pts = self.points
-                rows = sorted(r for m in dirty for r in self._members[m])
-                for m in dirty:
-                    self._mc_alive[m] = False
-                    self._members[m] = []
-                    for peer in self._reach_ids[m]:
-                        if peer != m and self._mc_alive[peer]:
-                            try:
-                                self._reach_ids[peer].remove(m)
-                            except ValueError:
-                                pass
-                    self._reach_ids[m] = []
-                self._degenerate.clear()
-                self._rebuild_level1()
-                self._assign_rows(rows, pts)
-                self.compactions_total += 1
-                self.counters.add_extra("stream_compactions", 1)
-                self._updates_since_compact = 0
-            return len(dirty)
-
-    def _rebuild_level1(self) -> None:
-        """STR-pack a fresh level-1 tree over the surviving MC boxes."""
-        eps = self.params.eps
-        tree = RTree(int(self.dim or 1), max_entries=self.max_entries, counters=self.counters)
-        alive = [m for m, ok in enumerate(self._mc_alive) if ok]
-        if alive:
-            centers = np.stack([self._centers[m] for m in alive])
-            str_bulk_load(
-                tree,
-                centers - eps,
-                centers + eps,
-                payloads=np.asarray(alive, dtype=np.int64),
-            )
-        self._tree = tree
+            dirty = self._mc_alive.copy() if force else self._degenerate_mask()
+            n_dirty = int(np.count_nonzero(dirty))
+            if n_dirty:
+                with self.timers.phase("stream_compact"):
+                    live = self.live_rows()
+                    self._mc_alive[dirty] = False
+                    self._ic_count[dirty] = 0
+                    self._drop_reach()
+                    self._place(live[dirty[self._point_mc[live]]])
+                    self._member_cache = None  # rows moved
+                    self.compactions_total += 1
+                    self.counters.add_extra("stream_compactions", 1)
+            self._updates_since_compact = 0
+            self._bound_label_ids()
+            return n_dirty
 
     def _maybe_auto_compact(self) -> None:
         n_alive = self.n_micro_clusters
+        n_dirty = self.n_degenerate_mcs
         if self.compact_every is not None and (
             self._updates_since_compact >= self.compact_every
         ):
             self.compact()
-        elif (
-            self._degenerate
-            and n_alive
-            and len(self._degenerate) > self.compact_dirty_fraction * n_alive
-        ):
+        elif n_dirty and n_alive and n_dirty > self.compact_dirty_fraction * n_alive:
             self.compact()
+
+    def _bound_label_ids(self) -> None:
+        """Renumber the live cores' canonical labels densely into a
+        fresh union-find once the label ids outnumber twice the live
+        cores, so its size follows the window, not the stream's
+        history.  Components, and so :attr:`labels_`, do not change."""
+        cores = np.flatnonzero(self._core[: self._n])
+        if len(self._label_uf) <= 2 * cores.size:
+            return
+        canon = self._label_uf.roots()[self._labels[cores]]
+        distinct, self._labels[cores] = np.unique(canon, return_inverse=True)
+        self._label_uf = UnionFind(distinct.size, counters=self.counters)
 
     # ------------------------------------------------------------------
     # label extraction
 
-    def _resolve_borders(self, rows: np.ndarray, pts: np.ndarray) -> None:
+    def _resolve_borders(self, rows: np.ndarray) -> None:
         """Fill the border cache for non-core ``rows`` that need it.
 
         Canonical attachment: the core strictly within ε minimising
         (raw distance, row id) — deterministic, so the windowed parity
         checker can recompute the identical attachment for a batch
-        refit (`repro.validation.exactness.canonical_labels`).
+        refit (`repro.validation.exactness.canonical_labels`).  Taken
+        by segment reductions over each row's run of core neighbors.
         """
         homes = self._border[rows]
-        resolved = homes >= 0
-        stale = np.zeros(rows.shape[0], dtype=bool)
-        if resolved.any():
-            h = homes[resolved]
-            stale[resolved] = (~self._alive[h]) | (~self._core[h])
-        todo = rows[(homes == _UNKNOWN) | stale]
+        stale = homes == _UNKNOWN
+        resolved = np.flatnonzero(homes >= 0)
+        h = homes[resolved]
+        stale[resolved] = (~self._alive[h]) | (~self._core[h])
+        todo = rows[stale]
         if todo.size == 0:
             return
-        nb = self._bulk_neighbors(todo, pts, with_raw=True)
-        for r in todo:
-            r = int(r)
-            nbrs, raw = nb[r]
-            mask = self._core[nbrs]
-            if not mask.any():
-                self._border[r] = _NO_HOME
-                continue
-            cores = nbrs[mask]
-            rw = raw[mask]
-            self._border[r] = int(cores[rw == rw.min()].min())
+        offsets, nbrs, raw = self._bulk_neighbors(todo)
+        core = np.flatnonzero(self._core[nbrs])
+        owner = np.repeat(np.arange(todo.shape[0]), np.diff(offsets))[core]
+        has_home, _, home = run_minima(owner, raw[core], nbrs[core])
+        self._border[todo] = _NO_HOME
+        self._border[todo[has_home]] = home
 
     @property
     def labels_(self) -> np.ndarray:
@@ -833,7 +789,7 @@ class StreamingMuDBSCAN:
             nc_pos = np.flatnonzero(~cmask)
             if nc_pos.size:
                 nc_rows = live[nc_pos]
-                self._resolve_borders(nc_rows, self.points)
+                self._resolve_borders(nc_rows)
                 homes = self._border[nc_rows]
                 has = homes >= 0
                 if has.any():
@@ -916,6 +872,7 @@ class StreamingMuDBSCAN:
         )
         self._updates_since_compact += 1
         self._maybe_auto_compact()
+        self._bound_label_ids()
 
     def _publish_delta(self) -> None:
         """Push counter/timer growth since the last snapshot, labelled
@@ -972,47 +929,38 @@ class StreamingMuDBSCAN:
         live = self.live_rows()
         remap = np.full(self._n, -1, dtype=np.int64)
         remap[live] = np.arange(live.shape[0], dtype=np.int64)
-        alive_mcs = [
-            m for m, ok in enumerate(self._mc_alive) if ok and self._members[m]
-        ]
-        mc_remap = {m: i for i, m in enumerate(alive_mcs)}
-        members: list[np.ndarray] = []
-        reaches: list[np.ndarray] = []
-        center_rows = np.empty(len(alive_mcs), dtype=np.int64)
-        for i, m in enumerate(alive_mcs):
-            center = self._center_rows[m]
-            rows = [center] + [r for r in self._members[m] if r != center]
-            members.append(remap[np.asarray(rows, dtype=np.int64)])
-            reaches.append(
-                np.asarray(
-                    sorted(mc_remap[w] for w in self._reach_ids[m] if w in mc_remap),
-                    dtype=np.int64,
-                )
-            )
-            center_rows[i] = remap[center]
-        member_offsets, member_flat = csr_from_parts(members)
-        reach_offsets, reach_flat = csr_from_parts(reaches)
+        member_offsets, members, _ = self._live_members()
+        sizes = np.diff(member_offsets)
+        kept = np.flatnonzero(sizes)  # the live MCs that have members
+        mc_remap = np.full(sizes.size, -1, dtype=np.int64)
+        mc_remap[kept] = np.arange(kept.size)
+        # each MC's founder first, as freeze_arrays requires
+        owner = self._point_mc[members]
+        founder = self._center_rows[owner] == members
+        members = members[np.lexsort((~founder, owner))]
+        src = np.repeat(np.arange(sizes.size), np.diff(self._reach_offsets))
+        src, dst = mc_remap[src], mc_remap[self._reach_flat]
+        linked = (src >= 0) & (dst >= 0)
         labels = self.labels_
         counters = Counters()
         counters.merge(self.counters)
-        mc_ids = np.asarray([mc_remap[int(m)] for m in self._point_mc[live]], dtype=np.int64)
         return FittedModel(
             points=self.points[live].copy(),
             labels=labels,
             core_mask=self._core[live].copy(),
-            point_mc=mc_ids,
-            center_rows=center_rows,
-            member_offsets=member_offsets,
-            member_flat=member_flat,
-            reach_offsets=reach_offsets,
-            reach_flat=reach_flat,
+            point_mc=mc_remap[self._point_mc[live]],
+            center_rows=remap[self._center_rows[kept]],
+            member_offsets=np.r_[0, np.cumsum(sizes[kept])],
+            member_flat=remap[members],
+            reach_offsets=np.searchsorted(src[linked], np.arange(kept.size + 1)),
+            reach_flat=dst[linked],
             params=self.params,
             metric_name=self.metric.name,
             algorithm=ALGORITHM,
             counters=counters,
             extras={
                 ExtraKeys.ENGINE: "streaming",
-                ExtraKeys.N_MICRO_CLUSTERS: len(alive_mcs),
+                ExtraKeys.N_MICRO_CLUSTERS: int(kept.size),
                 ExtraKeys.MC_KIND_COUNTS: self.mc_kind_counts(),
             },
             meta={
@@ -1028,14 +976,6 @@ class StreamingMuDBSCAN:
                 },
             },
         )
-
-
-def _split(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
-    """A CSR as one Python list per row."""
-    bounds = offsets.tolist()
-    values = flat.tolist()
-    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
 
 
 class IncrementalMuDBSCAN(StreamingMuDBSCAN):

@@ -125,15 +125,16 @@ class TestRemovedPathOptions:
 
 
 class TestRemovedTreeOptions:
-    """``max_entries`` sized the fit's level-1 R-tree, which no fit path
-    builds any more, and ``aux_bulk`` chose how the ``rtree`` mode packs
-    its AuxR-trees (always STR now); the keywords are rejected by name."""
+    """``max_entries`` sized the level-1 R-tree, which neither a fit
+    path nor the stream builds any more, and ``aux_bulk`` chose how the
+    ``rtree`` mode packs its AuxR-trees (always STR now); the keywords
+    are rejected by name."""
 
     @pytest.mark.parametrize(
         "entry, keyword",
         [(entry, "max_entries") for entry in (
             "fit", "fit-sampled", "fit-summary", "mu_dbscan", "MuDBSCAN",
-            "fit_model", "MuRTree",
+            "fit_model", "MuRTree", "stream",
         )] + [("MuRTree", "aux_bulk")],
     )
     def test_type_error_names_the_keyword(self, small_blobs, entry, keyword):
@@ -154,6 +155,7 @@ class TestRemovedTreeOptions:
             "MuDBSCAN": lambda: MuDBSCAN(eps=0.08, min_pts=6, **opt),
             "fit_model": lambda: fit_model(small_blobs, 0.08, 6, **opt),
             "MuRTree": lambda: MuRTree(small_blobs, 0.08, aux_index="rtree", **opt),
+            "stream": lambda: repro.stream(eps=0.08, min_pts=6, **opt),
         }
         with pytest.raises(TypeError, match=keyword):
             calls[entry]()

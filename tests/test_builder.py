@@ -13,7 +13,7 @@ from repro.data.registry import dataset_names, load_dataset
 from repro.geometry.distance import sq_dists_to_point
 from repro.geometry.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.instrumentation.counters import Counters
-from repro.microcluster.builder import build_micro_clusters
+from repro.microcluster.builder import build_micro_cluster_arrays, build_micro_clusters
 from repro.microcluster.murtree import MuRTree
 from repro.microcluster.reachability import compute_reachable
 from repro.validation.reference import build_micro_clusters_scan, compute_reachable_probe
@@ -347,3 +347,148 @@ class TestIntraBlockFixup:
         eps = 1.0
         pts = np.stack([np.arange(40) * 0.6, np.zeros(40)], axis=1)
         _assert_builders_identical(pts, eps, block_size=block_size)
+
+
+def _scan_with_centers(points, eps, centers, metric, defer_2eps):
+    """Algorithm 3 one point at a time against the MCs ``centers``
+    (ids ``0..k-1``) plus those founded so far: join the nearest center
+    strictly within ε (lowest id on ties), else wait when one lies
+    within 2ε, else found; the waiting rows are placed in a second pass.
+    Returns ``(point_mc, founders, deferred, leaf_tests)``, the last
+    being the centers whose ε-box the builder's probe ball touches."""
+    n, dim = points.shape
+    cover = metric.l2_cover_factor(dim)
+    eps_raw, two_eps_raw = metric.threshold(eps), metric.threshold(2.0 * eps)
+    known = [c for c in centers]
+    point_mc = np.full(n, -1, dtype=np.int64)
+    founders, waiting = [], []
+    leaf_tests = 0
+
+    def nearest(p, radius):
+        nonlocal leaf_tests
+        if not known:
+            return np.inf, -1
+        c = np.array(known)
+        gap = p - np.clip(p, c - eps, c + eps)
+        leaf_tests += int(np.count_nonzero(np.einsum("ij,ij->i", gap, gap) <= radius**2))
+        raw = metric.raw_to_point(c, p)
+        best = int(np.argmin(raw))  # the first of equal values: the lowest id
+        return raw[best], best
+
+    def place(i, low, best):
+        if low < eps_raw:
+            point_mc[i] = best
+        else:
+            point_mc[i] = len(known)
+            founders.append(i)
+            known.append(points[i])
+
+    for i in range(n):
+        low, best = nearest(points[i], (2.0 if defer_2eps else 1.0) * eps * cover)
+        if defer_2eps and eps_raw <= low < two_eps_raw:
+            waiting.append(i)
+        else:
+            place(i, low, best)
+    for i in waiting:
+        place(i, *nearest(points[i], eps * cover))
+    return point_mc, np.asarray(founders, dtype=np.int64), len(waiting), leaf_tests
+
+
+@st.composite
+def _placement_case(draw):
+    dim = draw(st.integers(1, 3))
+    lattice = draw(st.booleans())
+    if lattice:  # integer points and ε: exact ties and boundary distances
+        coord = st.integers(-3, 3).map(float)
+        eps = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    else:
+        coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        eps = draw(st.sampled_from([0.3, 0.8]))
+
+    def rows(max_size):
+        k = draw(st.integers(0, max_size))
+        flat = draw(st.lists(coord, min_size=k * dim, max_size=k * dim))
+        return np.array(flat, dtype=np.float64).reshape(k, dim)
+
+    return (
+        rows(40), rows(10), eps,
+        draw(st.sampled_from([EUCLIDEAN, MANHATTAN, CHEBYSHEV])),
+        draw(st.booleans()), draw(st.sampled_from([1, 3, 4096])),
+    )
+
+
+class TestPlacementAgainstCenters:
+    """``build_micro_cluster_arrays(points, eps, centers=C)`` places rows
+    against MCs that exist before the scan, as a streaming insert does."""
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(_placement_case())
+    def test_equals_per_point_scan(self, case):
+        pts, centers, eps, metric, defer, block = case
+        counters = Counters()
+        point_mc, founders, offsets, flat = build_micro_cluster_arrays(
+            pts, eps, counters=counters, metric=metric, defer_2eps=defer,
+            block_size=block, centers=centers,
+        )
+        want_mc, want_founders, n_waiting, leaf_tests = _scan_with_centers(
+            pts, eps, centers, metric, defer
+        )
+        np.testing.assert_array_equal(point_mc, want_mc)
+        np.testing.assert_array_equal(founders, want_founders)
+        assert counters.micro_clusters == founders.size
+        assert counters.deferred_points == n_waiting
+        assert counters.dist_calcs == leaf_tests
+        # the member CSR covers every MC, given or new, with rows of pts
+        assert offsets.shape == (centers.shape[0] + founders.size + 1,)
+        np.testing.assert_array_equal(np.sort(flat), np.arange(pts.shape[0]))
+        owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        np.testing.assert_array_equal(point_mc[flat], owner)
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(_placement_case(), st.integers(0, 40))
+    def test_split_scan_equals_one_scan(self, case, cut):
+        # without the 2ε wait nothing is placed out of order, so a scan
+        # resumed from the first part's centers is the same scan
+        pts, _, eps, metric, _, block = case
+        cut = min(cut, pts.shape[0])
+        whole, parts = Counters(), Counters()
+        kw = dict(metric=metric, defer_2eps=False, block_size=block)
+        point_mc, founders, _, _ = build_micro_cluster_arrays(
+            pts, eps, counters=whole, **kw
+        )
+        mc_a, founders_a, _, _ = build_micro_cluster_arrays(
+            pts[:cut], eps, counters=parts, **kw
+        )
+        mc_b, founders_b, _, _ = build_micro_cluster_arrays(
+            pts[cut:], eps, counters=parts, centers=pts[founders_a], **kw
+        )
+        np.testing.assert_array_equal(point_mc, np.concatenate([mc_a, mc_b]))
+        np.testing.assert_array_equal(
+            founders, np.concatenate([founders_a, founders_b + cut])
+        )
+        assert whole.as_dict() == parts.as_dict()
+
+    def test_empty_inputs(self):
+        centers = np.array([[0.0, 0.0], [3.0, 0.0]])
+        point_mc, founders, offsets, flat = build_micro_cluster_arrays(
+            np.empty((0, 2)), 1.0, centers=centers
+        )
+        assert point_mc.size == founders.size == flat.size == 0
+        np.testing.assert_array_equal(offsets, [0, 0, 0])
+        pts = np.array([[0.5, 0.0], [2.6, 0.0], [9.0, 9.0]])
+        counters = Counters()
+        point_mc, founders, _, _ = build_micro_cluster_arrays(
+            pts, 1.0, counters=counters, centers=np.empty((0, 2))
+        )
+        plain, plain_founders, _, _ = build_micro_cluster_arrays(pts, 1.0)
+        np.testing.assert_array_equal(point_mc, plain)
+        np.testing.assert_array_equal(founders, plain_founders)
+        point_mc, founders, _, _ = build_micro_cluster_arrays(pts, 1.0, centers=centers)
+        np.testing.assert_array_equal(point_mc, [0, 1, 2])
+        np.testing.assert_array_equal(founders, [2])
+        with pytest.raises(ValueError, match="centers"):
+            build_micro_cluster_arrays(pts, 1.0, centers=np.zeros((2, 3)))

@@ -291,11 +291,13 @@ class TestNoPerMCObjectsInProduction:
         assert constructed == {MicroCluster: 0, RTree: 0}
 
     def test_streaming_seed_and_insert(self, small_blobs, constructed):
-        # the stream maintains its own level-1 tree, so only objects count
         stream = repro.stream(eps=0.08, min_pts=6)
         stream.partial_fit(small_blobs[:200])
         stream.partial_fit(small_blobs[200:])
-        assert constructed[MicroCluster] == 0
+        stream.delete(stream.ids_[::4])
+        assert stream.compact(force=True) > 0
+        predict_model(stream.to_fitted_model(), small_blobs[::7] + 0.01)
+        assert constructed == {MicroCluster: 0, RTree: 0}
 
     def test_view_is_built_once(self, small_blobs, constructed):
         model = fit_model(small_blobs, 0.08, 6)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data.registry import REGISTRY, dataset_names
+from repro.index import grid as grid_mod
 from repro.serving import predict as predict_mod
 from repro.serving.engine import QueryEngine
 from repro.serving.fleet.router import ShardedPredictor
@@ -274,7 +275,7 @@ class TestFarFromOrigin:
 
 class TestPasses:
     """(query, member) pairs are scored in passes of at most
-    ``_PAIR_BUDGET`` pairs, whatever the batch."""
+    ``repro.index.grid._PAIR_BUDGET`` pairs, whatever the batch."""
 
     def _spy(self, monkeypatch):
         sizes = []
@@ -296,7 +297,7 @@ class TestPasses:
         queries = medium_blobs_3d[rows] + rng.normal(0.0, 0.05, (2048, 3))
         sizes = self._spy(monkeypatch)
         got = predict_model(model, queries)
-        assert len(sizes) > 1 and max(sizes) <= predict_mod._PAIR_BUDGET
+        assert len(sizes) > 1 and max(sizes) <= grid_mod._PAIR_BUDGET
         _assert_same(got, _oracle(model, queries))
 
     def test_ranges_split_between_passes(self, medium_blobs_3d, monkeypatch):
@@ -305,7 +306,7 @@ class TestPasses:
         model = fit_model(medium_blobs_3d, 0.35, 8)
         queries = medium_blobs_3d[::5] + 0.01
         want = predict_model(model, queries)
-        monkeypatch.setattr(predict_mod, "_PAIR_BUDGET", 37)
+        monkeypatch.setattr(grid_mod, "_PAIR_BUDGET", 37)
         sizes = self._spy(monkeypatch)
         for block_size in (1, 7, 1024):
             _assert_same(predict_model(model, queries, block_size=block_size), want)

@@ -7,7 +7,8 @@ Coverage, per docs/STREAMING.md:
   mixed insert/delete/expiry sequences — including a sweep over every
   registry dataset × every metric;
 * hypothesis-driven adversarial updates around the ε boundary;
-* compaction idempotence and the sub-linear update-cost contract;
+* compaction idempotence, the sub-linear update-cost contract and
+  the label-id bound;
 * the ``repro.api.stream`` facade, the deprecated ``insert``/``cluster``
   shims, and the serving :class:`StreamingEngine` integration.
 """
@@ -366,6 +367,28 @@ class TestSubLinearCost:
         stats = inc.last_update_stats
         # probes for the 10 victims + the repair region, not all 1500 rows
         assert stats["queries"] < inc.n_live, stats
+
+
+class TestBoundedLabelIds:
+    def test_label_ids_follow_the_window(self):
+        """Every promotion and repair mints label ids; they are
+        renumbered whenever they outnumber twice the live cores, so an
+        8,000-point windowed stream ends with ids for its window only."""
+        rng = np.random.default_rng(92)
+        idx = np.arange(8000)
+        x = idx * 0.0006 + (idx // 600) * 0.5 + rng.normal(0, 0.02, idx.size)
+        pts = np.column_stack([x, rng.normal(0, 0.06, (idx.size, 2))])
+        inc = StreamingMuDBSCAN(eps=0.08, min_pts=20, window=2000)
+        minted = 0
+        for lo in range(0, pts.shape[0], 500):
+            inc.partial_fit(pts[lo : lo + 500])
+            minted += inc.last_update_stats["promotions"]
+            assert len(inc._label_uf) <= 2 * np.count_nonzero(inc.core_sample_mask_)
+            inc.delete(rng.choice(inc.ids_, size=25, replace=False))
+            minted += inc.last_update_stats["repaired_rows"]
+            assert len(inc._label_uf) <= 2 * np.count_nonzero(inc.core_sample_mask_)
+        assert minted > 2 * len(inc._label_uf)  # renumbering did happen
+        assert_parity(inc, "after 8,000 points")
 
 
 class TestStreamingAPI:
