@@ -118,11 +118,10 @@ def pairwise_sq_dists_stable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Unlike :func:`pairwise_sq_dists`, each entry depends only on the two
     rows involved — never on the shape of the block it was computed in —
     so the same point pair yields the *bit-identical* value whether it
-    is evaluated inside a 1-row or a 10k-row block.  The serving layer
-    relies on this to make pruned prediction exactly reproduce the
-    brute-force oracle even for queries engineered to sit on the ε
-    boundary, and the reachability grid join relies on it to replicate
-    the tree probe's verdicts from batched blocks.
+    is evaluated inside a 1-row or a 10k-row block.  The brute-force
+    prediction oracle relies on this, so that pruned prediction, which
+    scores the same direct form per pair, reproduces it exactly even
+    for queries engineered to sit on the ε boundary.
 
     Peak memory is bounded internally: the ``|a| * |b| * d`` diff
     temporary is computed in row chunks when it would grow past a fixed

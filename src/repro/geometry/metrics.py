@@ -57,11 +57,12 @@ class Metric:
         """Like :meth:`raw_pairwise`, but each entry is guaranteed to be
         a function of the two rows only — independent of block shape.
 
-        Contract (the batched kernels' — reachability grid join,
-        serving): row ``i`` of the result is bit-identical to
-        ``raw_to_point(b, a[i])``, so a batched sweep reaches exactly
-        the same verdicts as a per-point loop, even for pairs
-        engineered onto the ε boundary.
+        Contract (the engines' batched kernels; the reachability join
+        and serving get the same values pair by pair, from
+        ``raw_to_point`` on each difference): row ``i`` of the result is
+        bit-identical to ``raw_to_point(b, a[i])``, so a batched sweep
+        reaches exactly the same verdicts as a per-point loop, even for
+        pairs engineered onto the ε boundary.
         Metrics whose ``raw_pairwise`` is already a per-pair direct form
         (L1, L∞ broadcasting) inherit this default with row chunking to
         bound the broadcast temporary; Euclidean overrides it because

@@ -10,6 +10,9 @@ The paper prunes in two geometrically distinct ways:
   (distance from ``p`` to the rectangle ≤ ``eps``).
 
 Both are provided; the cube test is cheaper, the ball test tighter.
+The R-tree's leaf test is :func:`sphere_intersects_rects`; Algorithm 5's
+grid join (:mod:`repro.microcluster.reachability`) runs the same test on
+flat (MC, candidate) pairs, with the same verdict bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "point_rect_sq_dist",
     "sphere_intersects_rect",
     "sphere_intersects_rects",
-    "sphere_intersects_rects_block",
     "rect_overlaps_rects",
 ]
 
@@ -73,29 +75,6 @@ def sphere_intersects_rects(
     # them out explicitly.
     nonempty = np.all(lows <= highs, axis=1)
     return nonempty & (sq <= eps * eps)
-
-
-def sphere_intersects_rects_block(
-    points: np.ndarray, eps: float, lows: np.ndarray, highs: np.ndarray
-) -> np.ndarray:
-    """:func:`sphere_intersects_rects` for many query points at once.
-
-    Returns the ``(B, k)`` boolean mask of ball-vs-box intersections for
-    ``B`` query points against ``k`` rectangles.  Row ``i`` is
-    *bit-identical* to ``sphere_intersects_rects(points[i], eps, ...)``:
-    ``clip`` is pure selection and the squared-distance reduction runs
-    over the same contiguous last axis, so batching cannot move a
-    boundary verdict.  The reachability grid join relies on this to
-    replicate the R-tree's leaf-level candidate test without the tree.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
-    highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
-    clamped = np.clip(pts[:, None, :], lows[None, :, :], highs[None, :, :])
-    diff = pts[:, None, :] - clamped
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    nonempty = np.all(lows <= highs, axis=1)
-    return nonempty[None, :] & (sq <= eps * eps)
 
 
 def rect_overlaps_rects(

@@ -17,8 +17,10 @@ dimension for fixed data, which this class exposes via ``n_cells``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.instrumentation.counters import Counters
 
 __all__ = [
     "NO_ID",
+    "CellGroups",
     "UniformGrid",
     "cell_order",
     "cell_width",
@@ -45,9 +48,9 @@ __all__ = [
 #: its largest temporary (int64 probes or differences) to 4 MiB
 _NEIGHBOR_TEMP_ELEMS = 1 << 19
 
-#: elements one :func:`pair_passes` pass holds at most — bounds the
-#: ``(pairs, d)`` temporaries of the pair kernels that score a pass
-#: (prediction, streaming neighborhoods) whatever the batch
+#: elements one :func:`pair_passes` pass holds at most by default —
+#: bounds the ``(pairs, d)`` temporaries of the pair kernels that score
+#: a pass (prediction, streaming neighborhoods) whatever the batch
 _PAIR_BUDGET = 1 << 16
 
 #: sentinel id, larger than any row or micro-cluster id
@@ -109,6 +112,15 @@ def cell_order(cells: np.ndarray) -> np.ndarray:
     return np.argsort(_row_keys(cells), kind="stable")
 
 
+@functools.cache
+def _stencil(d: int) -> np.ndarray:
+    """The ``(3 ** d, d)`` neighbour offsets, row-major over ``(-1, 0, 1)``;
+    C-contiguous, so probes are not copied, and read-only, as it is shared."""
+    offsets = np.ascontiguousarray(np.indices((3,) * d).reshape(d, -1).T - 1)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def neighbor_cells(
     cells: np.ndarray,
     others: np.ndarray | None = None,
@@ -146,8 +158,7 @@ def neighbor_cells(
     if k and 3**d <= k_o:
         order = cell_order(others) if others_order is None else others_order
         sorted_keys = _row_keys(others)[order]
-        offsets = np.stack(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"), axis=-1)
-        offsets = offsets.reshape(-1, d)
+        offsets = _stencil(d)
         step = max(1, _NEIGHBOR_TEMP_ELEMS // (k * d))
         for s in range(0, offsets.shape[0], step):
             off = offsets[s : s + step]
@@ -211,13 +222,14 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def pair_passes(
-    owner: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    owner: np.ndarray, starts: np.ndarray, lengths: np.ndarray, budget: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Lay the ranges ``starts[j] .. starts[j] + lengths[j] - 1`` one
-    after another and cut them into passes of at most ``_PAIR_BUDGET``
-    elements; yields each pass's ``(owner of each element, element)``.
+    after another and cut them into passes of at most ``budget``
+    elements (default ``_PAIR_BUDGET``, read when the first pass is
+    made); yields each pass's ``(owner of each element, element)``.
     A range may be split between passes."""
-    budget = _PAIR_BUDGET
+    budget = _PAIR_BUDGET if budget is None else budget
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
     if total <= budget:  # the common case, a single pass
@@ -235,6 +247,47 @@ def pair_passes(
             np.repeat(owner[i:j], n),
             concat_ranges(starts[i:j] + (lo - begins[i:j]), n),
         )
+
+
+@dataclass(frozen=True)
+class CellGroups:
+    """Ids grouped by their :func:`hash_cells` cell: ``cells[j]`` holds
+    ``members[first[j]:first[j] + count[j]]``, ascending; ``order`` is
+    :func:`cell_order` of ``cells``, sorted once for every join."""
+
+    cells: np.ndarray
+    order: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    members: np.ndarray
+
+    @classmethod
+    def of(cls, cells: np.ndarray, cell_of: np.ndarray) -> "CellGroups":
+        """Group ids ``0 .. n - 1`` by ``cell_of``, their indices into
+        the distinct ``cells``."""
+        count = np.bincount(cell_of, minlength=cells.shape[0])
+        return cls(
+            cells=cells,
+            order=cell_order(cells),
+            first=np.cumsum(count) - count,
+            count=count,
+            members=np.argsort(cell_of, kind="stable"),
+        )
+
+    def join(
+        self, q_cells: np.ndarray, q_cell: np.ndarray, owner: np.ndarray, budget=None
+    ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+        """Pair each query, named ``owner[i]`` and lying in the cell
+        ``q_cells[q_cell[i]]`` of this grid, with every id in the cells
+        adjacent to it, its own included.  The candidates of each query
+        cell are laid out once; each query reads its cell's range.
+        Returns the pair count and the :func:`pair_passes` (``budget``)
+        of ``(owner, id)`` pairs, query after query in input order."""
+        indptr, nbrs = neighbor_cells(q_cells, self.cells, others_order=self.order)
+        start, cand = neighbor_members(indptr, nbrs, self.first, self.count, self.members)
+        lengths = start[q_cell + 1] - start[q_cell]
+        passes = pair_passes(owner, start[q_cell], lengths, budget)
+        return int(lengths.sum()), ((o, cand[pos]) for o, pos in passes)
 
 
 def run_starts(ids: np.ndarray) -> np.ndarray:

@@ -14,15 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
-from repro.geometry.regions import sphere_intersects_rects_block
-from repro.index.grid import hash_cells, neighbor_cells, neighbor_members
+from repro.index.grid import CellGroups, hash_cells
 from repro.instrumentation.counters import Counters
 
 __all__ = ["compute_reachable"]
 
-#: element budget (rows x candidates x d) of one distance block of the
-#: grid join — bounds each float64 temporary to 4 MiB
-_JOIN_TEMP_ELEMS = 1 << 19
+#: (MC, candidate) pairs one pass of the grid join scores at most;
+#: larger passes run no faster and can raise the fit's peak RSS
+_JOIN_PAIRS = 1 << 13
 
 
 def compute_reachable(
@@ -52,13 +51,14 @@ def compute_reachable(
     (internal-node pruning never rejects a hit leaf), and a box can only
     be touched when ``|Δ| <= 3 eps · cover + eps`` on every axis.
     Hashing the centers into cells slightly wider than that bound
-    therefore puts every hit pair in the same or adjacent cells, so each
-    occupied cell replays the tree's ball-vs-box predicate and the exact
-    ``<= 3 eps`` test on the centers of its neighbouring cells only — a
-    superset of its hits.  ``dist_calcs`` and the lists come out
-    identical to the paper's per-MC tree probe (kept in
-    :mod:`repro.validation.reference`), in time proportional to the
-    candidate pairs rather than ``m²``.
+    therefore puts every hit pair in the same or adjacent cells, so the
+    pairs of each MC with the centers of its cell's neighbour cells
+    (:meth:`CellGroups.join`), a superset of its hits, are scored in
+    flat passes by the tree's leaf test and the exact ``<= 3 eps`` test,
+    each per pair with the probe's verdict bit for bit.  ``dist_calcs``
+    and the lists come out identical to the paper's per-MC tree probe
+    (kept in :mod:`repro.validation.reference`), in time proportional
+    to the candidate pairs rather than ``m²``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -67,44 +67,27 @@ def compute_reachable(
     m = centers.shape[0]
     if m == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    d = centers.shape[1]
-    radius = 3.0 * eps * metric.l2_cover_factor(d)
+    radius = 3.0 * eps * metric.l2_cover_factor(centers.shape[1])
     limit_raw = metric.threshold(3.0 * eps)
-    lows = centers - eps
-    highs = centers + eps
+    origin = np.zeros(centers.shape[1])
     queries = np.arange(m) if rows is None else np.asarray(rows, dtype=np.int64)
     cells, cell_of = hash_cells(centers, radius + eps)
-    by_cell = np.argsort(cell_of, kind="stable")  # ids grouped by cell
-    per_cell = np.bincount(cell_of, minlength=cells.shape[0])
-    start = np.zeros(cells.shape[0] + 1, dtype=np.int64)
-    np.cumsum(per_cell, out=start[1:])
-    # the queried MCs grouped by cell: q_cells[c]'s are
-    # q_by_cell[q_start[c]:q_start[c + 1]]
-    q_by_cell = queries[np.argsort(cell_of[queries], kind="stable")]
-    q_cells, q_start = np.unique(cell_of[q_by_cell], return_index=True)
-    q_start = np.r_[q_start, q_by_cell.shape[0]]
-    # candidates of q_cells[c]: the members of its neighbour cells, flattened
-    cand_start, cand = neighbor_members(
-        *neighbor_cells(cells[q_cells], cells), start[:-1], per_cell, by_cell
-    )
-
+    q_cells, q_cell = np.unique(cell_of[queries], return_inverse=True)
+    groups = CellGroups.of(cells, cell_of)
+    _, passes = groups.join(cells[q_cells], q_cell, queries, _JOIN_PAIRS)
     n_hit = 0
-    src: list[np.ndarray] = [queries[:0]]
-    dst: list[np.ndarray] = [queries[:0]]
-    for c in range(q_cells.shape[0]):
-        rows = q_by_cell[q_start[c] : q_start[c + 1]]
-        ids = cand[cand_start[c] : cand_start[c + 1]]
-        c_lows, c_highs, c_centers = lows[ids], highs[ids], centers[ids]
-        step = max(1, _JOIN_TEMP_ELEMS // (ids.shape[0] * d))
-        for s in range(0, rows.shape[0], step):
-            sub_rows = rows[s : s + step]
-            sub = centers[sub_rows]
-            hit = sphere_intersects_rects_block(sub, radius, c_lows, c_highs)
-            ok = hit & (metric.raw_pairwise_stable(sub, c_centers) <= limit_raw)
-            n_hit += int(np.count_nonzero(hit))
-            i, j = np.nonzero(ok)
-            src.append(sub_rows[i])
-            dst.append(ids[j])
+    src, dst = [queries[:0]], [queries[:0]]
+    for i, j in passes:
+        p = np.take(centers, i, axis=0)
+        q = np.take(centers, j, axis=0)
+        # the tree's leaf test, p against the box q ± eps (clip is pure
+        # selection: the probe's verdict bit for bit); hits are the work
+        gap = p - np.clip(p, q - eps, q + eps)
+        hit = np.einsum("ij,ij->i", gap, gap) <= radius * radius
+        n_hit += int(np.count_nonzero(hit))
+        ok = hit & (metric.raw_to_point(p - q, origin) <= limit_raw)
+        src.append(i[ok])
+        dst.append(j[ok])
     counters.dist_calcs += n_hit
     src_all = np.concatenate(src)
     dst_all = np.concatenate(dst)

@@ -33,7 +33,7 @@ bounded by the distance, ``|x_i - y_i| <= d(x, y)``, for L1, L2 and
 L∞ alike, so a center within ``R`` of a query differs from it by at
 most ``R`` on every axis and sits in the query's cell or an adjacent
 one.  A request's queries are hashed with the same width, their cells
-joined to the center cells (:func:`repro.index.grid.neighbor_cells`),
+joined to the center cells (:meth:`repro.index.grid.CellGroups.join`),
 and each (query, MC) pair so found is kept when the center passes the
 ``<= R`` test.  The width is widened the way ``hash_cells`` widens
 it: relatively by 2**-20 for rounding in ``R``, and absolutely by
@@ -79,11 +79,9 @@ import numpy as np
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
 from repro.index.grid import (
     NO_ID,
-    cell_order,
+    CellGroups,
     cell_width,
     hash_cells,
-    neighbor_cells,
-    neighbor_members,
     pair_passes,
     run_minima,
     run_starts,
@@ -188,8 +186,7 @@ class RouteTable:
     Built once per model and cached on it
     (:attr:`repro.serving.model.FittedModel.route_table`); every
     request hashes its queries with the same width and joins them to
-    :attr:`cells`.  The members of center cell ``j`` are the MC ids
-    ``cell_mcs[cell_first[j]:cell_first[j] + cell_count[j]]``.
+    the MC ids grouped by center cell, :attr:`groups`.
     """
 
     #: widened 2ε routing radius ``R``
@@ -199,29 +196,19 @@ class RouteTable:
     #: queries with a larger |coordinate| route to no center
     limit: float
     centers: np.ndarray
-    cells: np.ndarray
-    cell_order: np.ndarray
-    cell_first: np.ndarray
-    cell_count: np.ndarray
-    cell_mcs: np.ndarray
+    groups: CellGroups
 
     @classmethod
     def build(cls, model) -> "RouteTable":
         reach = 2.0 * model.params.eps * (1.0 + _ROUTING_SLACK)
         centers = np.ascontiguousarray(model.points[model.center_rows])
         scale = float(np.abs(centers).max()) if centers.size else 0.0
-        cells, cell_of = hash_cells(centers, reach, scale=scale)
-        cell_count = np.bincount(cell_of, minlength=cells.shape[0])
         return cls(
             reach=reach,
             scale=scale,
             limit=scale + 2.0 * cell_width(reach, scale),
             centers=centers,
-            cells=cells,
-            cell_order=cell_order(cells),
-            cell_first=np.cumsum(cell_count) - cell_count,
-            cell_count=cell_count,
-            cell_mcs=np.argsort(cell_of, kind="stable"),
+            groups=CellGroups.of(*hash_cells(centers, reach, scale=scale)),
         )
 
     def route(
@@ -233,25 +220,19 @@ class RouteTable:
         rows = np.flatnonzero((np.abs(q) <= self.limit).all(axis=1))
         if not rows.size:
             return rows, rows, 0
-        q_cells, q_cell = hash_cells(q[rows], self.reach, scale=self.scale)
-        start, cand = neighbor_members(
-            *neighbor_cells(q_cells, self.cells, others_order=self.cell_order),
-            self.cell_first,
-            self.cell_count,
-            self.cell_mcs,
+        tested, passes = self.groups.join(
+            *hash_cells(q[rows], self.reach, scale=self.scale), rows
         )
-        lengths = start[q_cell + 1] - start[q_cell]
         route_raw = metric.threshold(self.reach)
         origin = np.zeros(q.shape[1])
         q_idx, mc_ids = [rows[:0]], [rows[:0]]
-        for idx, pos in pair_passes(rows, start[q_cell], lengths):
-            mc = cand[pos]
+        for idx, mc in passes:
             diff = np.take(self.centers, mc, axis=0)
             diff -= np.take(q, idx, axis=0)
             keep = metric.raw_to_point(diff, origin) <= route_raw
             q_idx.append(idx[keep])
             mc_ids.append(mc[keep])
-        return np.concatenate(q_idx), np.concatenate(mc_ids), int(lengths.sum())
+        return np.concatenate(q_idx), np.concatenate(mc_ids), tested
 
 
 def _score_pass(

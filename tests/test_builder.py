@@ -13,6 +13,7 @@ from repro.data.registry import dataset_names, load_dataset
 from repro.geometry.distance import sq_dists_to_point
 from repro.geometry.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.instrumentation.counters import Counters
+from repro.microcluster import reachability
 from repro.microcluster.builder import build_micro_cluster_arrays, build_micro_clusters
 from repro.microcluster.murtree import MuRTree
 from repro.microcluster.reachability import compute_reachable
@@ -259,6 +260,43 @@ class TestReachabilityParity:
         assert math.prod(int(x) for x in span) > 2**63
         mcs = _assert_builders_identical(pts, 1.0)
         assert max(len(mc.reach_ids) for mc in mcs) > 1
+
+    @pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, CHEBYSHEV], ids=lambda m: m.name)
+    def test_pass_budgets_and_row_subsets(self, metric, monkeypatch):
+        # centers on an ε/4 lattice, so many pairs sit exactly at 3ε or
+        # on a box face; every pass budget, down to one pair a pass, and
+        # every split of the MCs into row subsets gives the full join
+        rng = np.random.default_rng(24)
+        eps = 1.0
+        pts = rng.integers(0, 40, size=(900, 3)).astype(np.float64) * (eps / 4.0)
+        _, center_rows, _, _ = build_micro_cluster_arrays(pts, eps, metric=metric)
+        centers = pts[center_rows]
+        m = centers.shape[0]
+        full = Counters()
+        offsets, flat = compute_reachable(centers, eps, full, metric=metric)
+        for budget in (1, 7):
+            monkeypatch.setattr(reachability, "_JOIN_PAIRS", budget)
+            c = Counters()
+            got = compute_reachable(centers, eps, c, metric=metric)
+            assert np.array_equal(got[0], offsets) and np.array_equal(got[1], flat)
+            assert c.dist_calcs == full.dist_calcs
+        monkeypatch.undo()
+        for _ in range(3):
+            part = rng.integers(0, 3, m)
+            dist_calcs = 0
+            for k in range(3):
+                rows = np.flatnonzero(part == k)
+                c = Counters()
+                sub_off, sub_flat = compute_reachable(centers, eps, c, metric=metric, rows=rows)
+                assert sub_off.shape == (rows.size + 1,)
+                for pos, row in enumerate(rows):
+                    assert np.array_equal(
+                        sub_flat[sub_off[pos] : sub_off[pos + 1]],
+                        flat[offsets[row] : offsets[row + 1]],
+                    )
+                dist_calcs += c.dist_calcs
+            assert dist_calcs == full.dist_calcs
+        assert m > 200 and full.dist_calcs > flat.size > m
 
 
 class TestGridBuilderRobustness:

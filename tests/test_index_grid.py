@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import neighbors_within
-from repro.index.grid import UniformGrid, hash_cells, neighbor_cells
+from repro.index import grid as grid_mod
+from repro.index.grid import (
+    NO_ID,
+    CellGroups,
+    UniformGrid,
+    concat_ranges,
+    hash_cells,
+    neighbor_cells,
+    pair_passes,
+    run_minima,
+    run_starts,
+)
 
 
 class TestUniformGrid:
@@ -164,6 +175,15 @@ class TestNeighborCells:
         with pytest.raises(ValueError, match="others"):
             neighbor_cells(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_stencil_is_cached_contiguous_and_read_only(self, dim):
+        want = np.stack(np.meshgrid(*[np.arange(-1, 2)] * dim, indexing="ij"), axis=-1)
+        got = grid_mod._stencil(dim)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want.reshape(-1, dim))
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert grid_mod._stencil(dim) is got
+
 
 class TestHashCells:
     """Cells for the grid joins: close points land in touching cells."""
@@ -186,3 +206,137 @@ class TestHashCells:
             cells, cell_of = hash_cells(pts, 3.0)
         assert np.abs(cells).max() <= 2**40
         assert cell_of[0] == cell_of[2] != cell_of[1]
+
+
+def _ranges(starts, lengths):
+    parts = [np.arange(s, s + n) for s, n in zip(starts, lengths)]
+    return np.concatenate(parts).astype(np.int64) if parts else np.empty(0, np.int64)
+
+
+class TestConcatRanges:
+    def test_matches_the_ranges_one_after_another(self):
+        starts = np.array([5, -3, 5, 100, 0, 7])
+        lengths = np.array([2, 0, 3, 1, 0, 4])
+        got = concat_ranges(starts, lengths)
+        assert got.dtype == np.int64
+        assert got.tolist() == [5, 6, 5, 6, 7, 100, 7, 8, 9, 10]
+
+    def test_empty_and_zero_length(self):
+        none = np.empty(0, dtype=np.int64)
+        assert concat_ranges(none, none).size == 0
+        assert concat_ranges(np.array([3, 9]), np.array([0, 0])).size == 0
+
+
+class TestPairPasses:
+    """The pass iterator behind predict's, streaming's and Algorithm 5's
+    flat pair kernels."""
+
+    @staticmethod
+    def _run(starts, lengths, budget=None):
+        owner = np.arange(len(starts)) * 10 + 3
+        passes = list(pair_passes(owner, np.asarray(starts), np.asarray(lengths), budget))
+        for o, e in passes:
+            assert o.shape == e.shape and o.size
+        if passes:
+            o, e = (np.concatenate(part) for part in zip(*passes))
+            assert np.array_equal(o, np.repeat(owner, lengths))
+            assert np.array_equal(e, _ranges(starts, lengths))
+        return [o.size for o, _ in passes]
+
+    @pytest.mark.parametrize("budget", [1, 3, 7, 64, 10_000])
+    def test_every_element_once_in_order(self, budget):
+        rng = np.random.default_rng(budget)
+        starts = rng.integers(-50, 50, 40)
+        lengths = rng.integers(0, 9, 40)
+        sizes = self._run(starts, lengths, budget)
+        total = int(lengths.sum())
+        assert sum(sizes) == total
+        # passes are full up to the last one
+        assert sizes == [budget] * (total // budget) + ([total % budget] if total % budget else [])
+
+    def test_default_budget_is_read_at_call_time(self, monkeypatch):
+        starts, lengths = np.arange(0, 60, 6), np.full(10, 5)
+        assert self._run(starts, lengths) == [50]
+        monkeypatch.setattr(grid_mod, "_PAIR_BUDGET", 8)
+        assert self._run(starts, lengths) == [8] * 6 + [2]
+
+    def test_a_range_split_between_passes(self):
+        owner = np.array([7])
+        passes = list(pair_passes(owner, np.array([100]), np.array([10]), 4))
+        assert [o.tolist() for o, _ in passes] == [[7] * 4, [7] * 4, [7] * 2]
+        assert [e.tolist() for _, e in passes] == [
+            [100, 101, 102, 103], [104, 105, 106, 107], [108, 109]
+        ]
+
+    @pytest.mark.parametrize("budget", [1, 2, 100])
+    def test_zero_length_and_empty_ranges(self, budget):
+        assert self._run([], [], budget) == []
+        assert self._run([4, 8], [0, 0], budget) == []
+        # zero-length ranges first, between and last, on pass boundaries
+        sizes = self._run([5, 9, 20, 30, 1], [0, 3, 0, 2, 0], budget)
+        assert sum(sizes) == 5 and max(sizes) <= budget
+
+
+class TestRunReductions:
+    def test_run_starts(self):
+        assert run_starts(np.array([4, 4, 1, 1, 1, 4])).tolist() == [0, 2, 5]
+        assert run_starts(np.array([9])).tolist() == [0]
+
+    def test_nearest_then_lowest_id(self):
+        owner = np.array([0, 0, 0, 2, 2, 5])
+        raw = np.array([3.0, 1.0, 1.0, 2.0, 2.0, 7.0])
+        ids = np.array([9, 8, 4, 6, 1, 3])
+        got = run_minima(owner, raw, ids)
+        assert [a.tolist() for a in got] == [[0, 2, 5], [1.0, 2.0, 7.0], [4, 1, 3]]
+
+    def test_matches_a_loop(self):
+        rng = np.random.default_rng(11)
+        owner = np.sort(rng.integers(0, 30, 400))
+        raw = rng.integers(0, 4, 400).astype(np.float64)  # many ties
+        ids = rng.permutation(400)
+        got_owner, got_raw, got_ids = run_minima(owner, raw, ids)
+        assert got_owner.tolist() == np.unique(owner).tolist()
+        for o, r, i in zip(got_owner, got_raw, got_ids):
+            mine = owner == o
+            assert r == raw[mine].min()
+            assert i == ids[mine & (raw == r)].min() != NO_ID
+
+    def test_empty(self):
+        got = run_minima(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
+        assert all(a.size == 0 for a in got)
+
+
+class TestCellGroups:
+    """The shared grid join of Algorithm 5 and predict's routing."""
+
+    @pytest.mark.parametrize("budget", [None, 1, 5])
+    def test_join_pairs_each_query_with_the_ids_of_adjacent_cells(self, budget):
+        rng = np.random.default_rng(6)
+        pts = rng.random((300, 2)) * 5.0
+        cells, cell_of = hash_cells(pts, 0.5, scale=5.0)
+        groups = CellGroups.of(cells, cell_of)
+        for c in range(cells.shape[0]):
+            got = groups.members[groups.first[c] : groups.first[c] + groups.count[c]]
+            assert got.tolist() == np.flatnonzero(cell_of == c).tolist()
+        q = rng.random((50, 2)) * 6.0 - 0.5
+        q_cells, q_cell = hash_cells(q, 0.5, scale=5.0)
+        owner = np.arange(50) + 1000
+        n, passes = groups.join(q_cells, q_cell, owner, budget)
+        passes = list(passes)
+        if budget:
+            assert max(o.size for o, _ in passes) <= budget
+        got_owner = np.concatenate([o for o, _ in passes])
+        got_ids = np.concatenate([i for _, i in passes])
+        assert n == got_ids.size
+        assert np.all(np.diff(got_owner) >= 0)  # query after query
+        near = (np.abs(q_cells[q_cell][:, None] - cells[cell_of][None]) <= 1).all(axis=2)
+        i, j = np.nonzero(near)
+        assert sorted(zip(got_owner.tolist(), got_ids.tolist())) == sorted(
+            zip(owner[i].tolist(), j.tolist())
+        )
+
+    def test_no_queries(self):
+        cells, cell_of = hash_cells(np.zeros((3, 2)), 1.0)
+        none = np.empty(0, dtype=np.int64)
+        n, passes = CellGroups.of(cells, cell_of).join(cells[:0], none, none)
+        assert n == 0 and list(passes) == []
