@@ -3,7 +3,9 @@
 Not a paper table, but the engineering ground truth the paper's design
 arguments rest on: how expensive is one exact ε-query under each index,
 and how does the μR-tree's restricted search compare?  Reported per
-1000 queries on the DGB galaxy stand-in.
+1000 queries on the DGB galaxy stand-in.  Two construction cases ride
+along: AuxR-tree bulk loading, and Algorithm 3's micro-cluster builder
+on the perfbench fit inputs and a sorted chain.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.index.brute import BruteIndex
 from repro.index.grid import UniformGrid
 from repro.index.kdtree import KDTree
 from repro.index.rtree import PointRTree
+from repro.microcluster.builder import build_micro_cluster_arrays
 from repro.microcluster.murtree import MuRTree
 
 DATASET = "DGB0.5M3D"
@@ -180,6 +183,59 @@ def _render_build() -> str:
 
 
 common.register_report("AuxR-tree bulk loading", _render_build)
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 3's builder on the perfbench fit inputs and on its worst case:
+# ``halos`` founds nearly every MC in vectorized rounds, each ``blobs``
+# block hands its founders to the walk after one round, and a sorted
+# chain walks throughout (each founder waits on the one before it).
+
+BUILDER_ROUNDS = 5
+
+_builder_times: dict[str, tuple[float, int, int]] = {}
+
+
+def _builder_input(case: str) -> tuple[np.ndarray, float]:
+    if case == "halos":  # perfbench's halos: MPAGD100M3D at scale 1.5
+        pts, spec = common.dataset("MPAGD100M3D", scale=1.5)
+        return pts, spec.eps
+    if case == "blobs":  # perfbench's blobs
+        from repro.data.synthetic import blobs_with_noise
+
+        return blobs_with_noise(20000, 3, 8, noise_fraction=0.2, seed=1), 0.08
+    return np.stack([np.arange(20000) * 0.7, np.zeros(20000)], axis=1), 1.0
+
+
+@pytest.mark.parametrize("case", ["halos", "blobs", "chain"])
+def test_micro_builder(benchmark, case):
+    pts, eps = _builder_input(case)
+    _, center_rows, _, _ = benchmark.pedantic(
+        lambda: build_micro_cluster_arrays(pts, eps),
+        rounds=BUILDER_ROUNDS,
+        iterations=1,
+    )
+    _builder_times[case] = (benchmark.stats["median"], pts.shape[0], center_rows.size)
+
+
+def _render_builder() -> str:
+    if not _builder_times:
+        return ""
+    rows = [
+        [case, n, mcs, f"{secs:.3f} s"]
+        for case, (secs, n, mcs) in _builder_times.items()
+    ]
+    return common.simple_table(
+        ["input", "points", "MCs", "median"],
+        rows,
+        title=(
+            "build_micro_cluster_arrays (Algorithm 3), median wall of "
+            f"{BUILDER_ROUNDS} calls; the chain is 20,000 points 0.7ε apart"
+        ),
+    )
+
+
+common.register_report("Micro-cluster builder", _render_builder)
 
 
 def _render() -> str:

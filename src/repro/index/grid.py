@@ -53,6 +53,11 @@ _NEIGHBOR_TEMP_ELEMS = 1 << 19
 #: a pass (prediction, streaming neighborhoods) whatever the batch
 _PAIR_BUDGET = 1 << 16
 
+#: cell pairs one chunk of :meth:`CellGroups.join` may lay out — bounds
+#: its neighbour lists (2 MiB per int64 array) however many of the
+#: queried cells are adjacent, as in high dimensions nearly all are
+_JOIN_CELL_PAIRS = 1 << 18
+
 #: sentinel id, larger than any row or micro-cluster id
 NO_ID = np.iinfo(np.int64).max
 
@@ -276,18 +281,34 @@ class CellGroups:
 
     def join(
         self, q_cells: np.ndarray, q_cell: np.ndarray, owner: np.ndarray, budget=None
-    ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Pair each query, named ``owner[i]`` and lying in the cell
         ``q_cells[q_cell[i]]`` of this grid, with every id in the cells
-        adjacent to it, its own included.  The candidates of each query
-        cell are laid out once; each query reads its cell's range.
-        Returns the pair count and the :func:`pair_passes` (``budget``)
-        of ``(owner, id)`` pairs, query after query in input order."""
-        indptr, nbrs = neighbor_cells(q_cells, self.cells, others_order=self.order)
-        start, cand = neighbor_members(indptr, nbrs, self.first, self.count, self.members)
-        lengths = start[q_cell + 1] - start[q_cell]
-        passes = pair_passes(owner, start[q_cell], lengths, budget)
-        return int(lengths.sum()), ((o, cand[pos]) for o, pos in passes)
+        adjacent to it, its own included; yields the :func:`pair_passes`
+        (``budget``) of ``(owner, id)`` pairs, query after query in input
+        order.  The queries are joined in input-order chunks whose cell
+        pairs, at most ``min(3 ** d, len(cells))`` per query cell, fit
+        ``_JOIN_CELL_PAIRS`` (one chunk when all of them fit); the
+        candidates of each of a chunk's query cells are laid out once,
+        and each query reads its cell's range."""
+        n = owner.shape[0]
+        per_cell = min(3 ** self.cells.shape[1], self.cells.shape[0])
+        step = max(n, 1)
+        if q_cells.shape[0] * per_cell > _JOIN_CELL_PAIRS:
+            step = max(1, _JOIN_CELL_PAIRS // per_cell)
+        for a in range(0, n, step):
+            if step < n:  # this chunk's query cells only
+                used, local = np.unique(q_cell[a : a + step], return_inverse=True)
+                here = q_cells[used]
+            else:
+                here, local = q_cells, q_cell
+            indptr, nbrs = neighbor_cells(here, self.cells, others_order=self.order)
+            start, cand = neighbor_members(
+                indptr, nbrs, self.first, self.count, self.members
+            )
+            lengths = start[local + 1] - start[local]
+            for o, pos in pair_passes(owner[a : a + step], start[local], lengths, budget):
+                yield o, cand[pos]
 
 
 def run_starts(ids: np.ndarray) -> np.ndarray:

@@ -29,16 +29,23 @@ so the box bounds the MC forever and never needs widening on insertion.
 The sweep is vectorized (docs/ALGORITHM.md, "Grid-hash builder"):
 points are hashed into cells just wider than a candidate search
 reaches; per row-order block, a join over adjacent cells lists each
-point's candidate centers, flat pair chunks replay the tree's leaf test
-against the ``center ± eps`` boxes and the scan's distances, and an
-exact fixup walk replays intra-block MC creations in scan order against
-the block rows of adjacent cells.  No tree is built:
-:func:`build_micro_cluster_arrays` returns the MC structure as arrays
-straight from one sort.  Labels, ``point_mc``, MC membership order and
-every counter are **bit-identical** to the paper's per-point scan (one
-R-tree probe per point, a dynamic ``tree.insert`` per created MC),
-which :mod:`repro.validation.reference` keeps as the comparison
-reference; the parity suite in ``tests/test_builder.py`` pins it.
+point's candidate centers, and flat pair chunks replay the tree's leaf
+test against the ``center ± eps`` boxes and the scan's distances.  The
+block's own MC creations are then replayed against its rows of
+adjacent cells in founding rounds: a row that would found an MC does so
+for certain once no undecided such row precedes it in its own or an
+adjacent cell, and each round makes all of its newborns visible to
+later rows in bounded pair passes.  When a round finds fewer than
+``_ROUND_MIN_FOUNDERS`` newborns (a chain, where each founder waits on
+the one before it), or where the ``3^d`` stencil does not apply, a walk
+finishes the block in scan order, one newborn at a time.  No tree is
+built: :func:`build_micro_cluster_arrays` returns the MC structure as
+arrays straight from one sort.  Labels, ``point_mc``, MC membership
+order and every counter are **bit-identical** to the paper's per-point
+scan (one R-tree probe per point, a dynamic ``tree.insert`` per created
+MC), which :mod:`repro.validation.reference` keeps as the comparison
+reference; the parity suite in ``tests/test_builder.py`` pins it, with
+each founding path forced on every block.
 :func:`build_micro_clusters` is the per-MC object view of the same
 result, with an STR-packed first-level tree, for inspection and tests.
 """
@@ -49,7 +56,13 @@ import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.index.bulk import str_bulk_load
-from repro.index.grid import hash_cells, neighbor_cells, neighbor_members
+from repro.index.grid import (
+    hash_cells,
+    neighbor_cells,
+    neighbor_members,
+    pair_passes,
+    run_minima,
+)
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MicroCluster
@@ -63,9 +76,22 @@ __all__ = [
 #: rows per vectorized sweep block
 DEFAULT_BUILDER_BLOCK_SIZE = 4096
 
-#: (row, center) pairs per chunk of whole rows in the builder's gather
-#: — keeps each ``(pairs, d)`` float64 temporary small
+#: (row, center) pairs per chunk of whole rows in the builder's gather,
+#: and per pass of a founding round — keeps each ``(pairs, d)`` float64
+#: temporary small
 _PAIR_BUDGET = 4096
+
+#: a founding round that finds fewer newborns than this hands the rest
+#: of its block to the walk, one newborn at a time: a round costs a few
+#: dozen array calls whatever it finds, a walk step about 15.  Builder
+#: CPU with thresholds 1 / 8 / 64: the perfbench ``halos`` input (48
+#: rounds over 7 blocks at 8) 0.093 / 0.093 / 0.108 s; 20,000 uniform
+#: 3-D points 0.178 / 0.186 / 0.219 s; a 20,000-point chain 0.7ε apart
+#: 1.43 / 0.30 / 0.29 s; ``blobs`` (each block walks after one round
+#: at 8) 0.33 / 0.29 / 0.29 s.  Thresholds 2, 4 and 16 read within 6%
+#: of 8 on each.  Median CPU of 7 interleaved runs, one BLAS thread,
+#: 2-vCPU VM.
+_ROUND_MIN_FOUNDERS = 8
 
 
 def build_micro_cluster_arrays(
@@ -226,10 +252,116 @@ def build_micro_cluster_arrays(
             best_raw[rows], best_id[rows] = low, np.minimum.reduceat(ties, first)
         return cnt, best_raw, best_id
 
+    def newborns(
+        bpts: np.ndarray,
+        b_cells: np.ndarray,
+        b_of: np.ndarray,
+        indptr: np.ndarray,
+        nbrs: np.ndarray,
+        cnt: np.ndarray,
+        best_raw: np.ndarray,
+        best_id: np.ndarray,
+        placed: float,
+        r2: float,
+    ) -> np.ndarray:
+        """The mask of the block's rows that found MCs, decided in
+        founding rounds and then by the walk.  Each newborn is made
+        visible to the block's later rows of adjacent cells exactly as a
+        dynamic tree insert would: the leaf test bumps ``cnt``, and the
+        scan's raw distance competes for ``best_raw`` / ``best_id``.
+        ``best_id`` ends as MC ids."""
+        # listed rows would found an MC against the centers before the
+        # block; a newborn can only take rows off the list
+        found = ~((cnt > 0) & (best_raw < placed))
+        todo = np.flatnonzero(found)
+        if todo.size == 0:
+            return found
+        lows, highs = bpts - eps, bpts + eps  # each row's box as a center
+        near = None
+        if stencil:  # block rows of each cell's adjacent cells
+            per_cell = np.bincount(b_of)
+            b_first[b_cells] = np.cumsum(per_cell) - per_cell
+            b_count[b_cells] = per_cell
+            near_start, near = neighbor_members(
+                indptr, nbrs, b_first, b_count, np.argsort(b_of, kind="stable")
+            )
+            b_count[b_cells] = 0
+        # until the block ends, newborn row i is known by the key m + i,
+        # which orders newborns as their MC ids will
+        if near is not None and todo.size >= _ROUND_MIN_FOUNDERS:
+            # founding rounds: an undecided listed row founds an MC for
+            # certain once no other precedes it in its own or an adjacent
+            # cell, where every row that could take it off the list lies;
+            # a round's newborns are made visible in bounded pair passes
+            at = np.minimum(np.searchsorted(b_cells, nbrs), b_cells.shape[0] - 1)
+            in_block = b_cells[at] == nbrs
+            adj_b = at[in_block]  # each block cell's adjacent block cells
+            adj_b_lo = np.r_[0, np.cumsum(in_block)][indptr[:-1]]
+            while True:
+                # the first undecided row of each cell, then of each
+                # cell's neighbourhood
+                first = np.full(b_cells.shape[0], bpts.shape[0])
+                np.minimum.at(first, b_of[todo], todo)
+                first = np.minimum.reduceat(first[adj_b], adj_b_lo)
+                certain = first[b_of[todo]] == todo
+                born = todo[certain]
+                if born.size < _ROUND_MIN_FOUNDERS:
+                    break
+                u = b_of[born]
+                lengths = near_start[u + 1] - near_start[u]
+                for own, k in pair_passes(born, near_start[u], lengths, _PAIR_BUDGET):
+                    later = near[k]
+                    keep = later > own
+                    own, later = own[keep], later[keep]
+                    rest = np.take(bpts, later, axis=0)
+                    diff = rest - np.clip(rest, lows[own], highs[own])
+                    hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= r2)
+                    if hit.size == 0:
+                        continue
+                    own, later = own[hit], later[hit]
+                    np.add.at(cnt, later, 1)
+                    # the walk's raw_to_point(rest, bpts[i]), pair by pair
+                    raw = metric.raw_to_point(rest[hit] - bpts[own], origin)
+                    by = np.argsort(later, kind="stable")
+                    row, low, key = run_minima(later[by], raw[by], own[by] + m)
+                    # strict <, as the walk: two newborns within ε of a
+                    # row lie in adjacent cells, so the earlier is decided,
+                    # and made visible, first and keeps an exact tie
+                    take = low < best_raw[row]
+                    best_raw[row[take]], best_id[row[take]] = low[take], key[take]
+                    found[row] = ~(best_raw[row] < placed)
+                todo = todo[~certain & found[todo]]
+        if near is not None and todo.size:
+            near_at, cell_list = near_start.tolist(), b_of.tolist()
+        # the walk: the rest in scan order, one newborn at a time
+        pos = np.arange(bpts.shape[0])
+        for i in todo.tolist():
+            if not found[i]:
+                continue
+            if near is None:  # the stencil outnumbers the cells: all later rows
+                later = slice(i + 1, None)
+            else:
+                u = cell_list[i]
+                later = near[near_at[u] : near_at[u + 1]]
+                later = later[later > i]
+            rest = bpts[later]
+            diff = rest - np.clip(rest, lows[i], highs[i])
+            hit = np.einsum("ij,ij->i", diff, diff) <= r2
+            idx = pos[later][hit]
+            if idx.size:
+                cnt[idx] += 1
+                raw_new = metric.raw_to_point(rest[hit], bpts[i])
+                better = raw_new < best_raw[idx]
+                best_raw[idx[better]] = raw_new[better]
+                best_id[idx[better]] = m + i
+                found[idx] = ~(best_raw[idx] < placed)
+        keyed = best_id >= m
+        best_id[keyed] = m + np.searchsorted(np.flatnonzero(found), best_id[keyed] - m)
+        return found
+
     def sweep(rows: np.ndarray, radius: float, defer: bool) -> None:
         """One Algorithm-3 pass over ``rows`` in order, blockwise."""
         placed = two_eps_raw if defer else eps_raw  # join or defer below this
-        r2 = radius * radius
         for start in range(0, rows.shape[0], block_size):
             block = rows[start : start + block_size]
             bpts = np.take(pts, block, axis=0)
@@ -243,48 +375,10 @@ def build_micro_cluster_arrays(
                 indptr, nbrs = neighbor_cells(cells[b_cells], cells[c_cells])
                 nbrs = c_cells[nbrs]
             cnt, best_raw, best_id = gather(bpts, b_of, indptr, nbrs, radius)
-            # rows that would found an MC; a newborn can only take rows
-            # off this list, so the walk visits just its initial entries
-            found = ~((cnt > 0) & (best_raw < placed))
-            pos = np.arange(block.shape[0])
-            near = None
-            if found.any() and stencil:
-                # block rows of each cell's adjacent cells (else the
-                # stencil outnumbers the cells: test all later rows)
-                per_cell = np.bincount(b_of)
-                b_first[b_cells] = np.cumsum(per_cell) - per_cell
-                b_count[b_cells] = per_cell
-                near_start, near = neighbor_members(
-                    indptr, nbrs, b_first, b_count, np.argsort(b_of, kind="stable")
-                )
-                b_count[b_cells] = 0
-                near_start, cell_list = near_start.tolist(), b_of.tolist()
-            lows, highs = bpts - eps, bpts + eps  # each row's box as a center
-            mc_id = m
-            for i in np.flatnonzero(found).tolist():
-                if not found[i]:
-                    continue
-                # make the newborn visible to later rows exactly as a
-                # dynamic tree insert would: the leaf test, then the
-                # scan's raw distance; strict < keeps the lower id on ties
-                if near is None:
-                    later = slice(i + 1, None)
-                else:
-                    u = cell_list[i]
-                    later = near[near_start[u] : near_start[u + 1]]
-                    later = later[later > i]
-                rest = bpts[later]
-                diff = rest - np.clip(rest, lows[i], highs[i])
-                hit = np.einsum("ij,ij->i", diff, diff) <= r2
-                idx = pos[later][hit]
-                if idx.size:
-                    cnt[idx] += 1
-                    raw_new = metric.raw_to_point(rest[hit], bpts[i])
-                    better = raw_new < best_raw[idx]
-                    best_raw[idx[better]] = raw_new[better]
-                    best_id[idx[better]] = mc_id
-                    found[idx] = ~(best_raw[idx] < placed)
-                mc_id += 1
+            found = newborns(
+                bpts, b_cells, b_of, indptr, nbrs, cnt, best_raw, best_id,
+                placed, radius * radius,
+            )
             born = block[found]  # the rows still on the list founded MCs
             file(born)
             counters.micro_clusters += born.shape[0]

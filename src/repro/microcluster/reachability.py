@@ -74,10 +74,9 @@ def compute_reachable(
     cells, cell_of = hash_cells(centers, radius + eps)
     q_cells, q_cell = np.unique(cell_of[queries], return_inverse=True)
     groups = CellGroups.of(cells, cell_of)
-    _, passes = groups.join(cells[q_cells], q_cell, queries, _JOIN_PAIRS)
     n_hit = 0
     src, dst = [queries[:0]], [queries[:0]]
-    for i, j in passes:
+    for i, j in groups.join(cells[q_cells], q_cell, queries, _JOIN_PAIRS):
         p = np.take(centers, i, axis=0)
         q = np.take(centers, j, axis=0)
         # the tree's leaf test, p against the box q ± eps (clip is pure

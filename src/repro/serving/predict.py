@@ -220,13 +220,14 @@ class RouteTable:
         rows = np.flatnonzero((np.abs(q) <= self.limit).all(axis=1))
         if not rows.size:
             return rows, rows, 0
-        tested, passes = self.groups.join(
-            *hash_cells(q[rows], self.reach, scale=self.scale), rows
-        )
         route_raw = metric.threshold(self.reach)
         origin = np.zeros(q.shape[1])
         q_idx, mc_ids = [rows[:0]], [rows[:0]]
-        for idx, mc in passes:
+        tested = 0
+        for idx, mc in self.groups.join(
+            *hash_cells(q[rows], self.reach, scale=self.scale), rows
+        ):
+            tested += idx.shape[0]
             diff = np.take(self.centers, mc, axis=0)
             diff -= np.take(q, idx, axis=0)
             keep = metric.raw_to_point(diff, origin) <= route_raw

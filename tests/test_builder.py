@@ -1,5 +1,6 @@
 """Unit tests for micro-cluster construction (Algorithm 3)."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -13,7 +14,8 @@ from repro.data.registry import dataset_names, load_dataset
 from repro.geometry.distance import sq_dists_to_point
 from repro.geometry.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.instrumentation.counters import Counters
-from repro.microcluster import reachability
+from repro.index import grid
+from repro.microcluster import builder, reachability
 from repro.microcluster.builder import build_micro_cluster_arrays, build_micro_clusters
 from repro.microcluster.murtree import MuRTree
 from repro.microcluster.reachability import compute_reachable
@@ -177,6 +179,13 @@ def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, b
     return grid_mcs
 
 
+def _lattice(seed, n, dim, scale_num, span):
+    """``n`` points on a ``span``-wide lattice of pitch ε/4, and ε."""
+    eps = 0.25 * scale_num
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, span, size=(n, dim)).astype(np.float64) * (eps / 4.0), eps
+
+
 class TestGridBuilderParity:
     """The grid-hash builder must be bit-for-bit the reference scan."""
 
@@ -220,9 +229,7 @@ class TestGridBuilderParity:
         precisely where a shape-dependent batched kernel would diverge
         from the per-point scan.
         """
-        eps = 0.25 * scale_num
-        rng = np.random.default_rng(seed)
-        pts = rng.integers(0, 12, size=(n, dim)).astype(np.float64) * (eps / 4.0)
+        pts, eps = _lattice(seed, n, dim, scale_num, 12)
         for metric in (EUCLIDEAN, MANHATTAN, CHEBYSHEV):
             _assert_builders_identical(pts, eps, metric=metric, block_size=16)
 
@@ -432,6 +439,30 @@ def _scan_with_centers(points, eps, centers, metric, defer_2eps):
     return point_mc, np.asarray(founders, dtype=np.int64), len(waiting), leaf_tests
 
 
+def _check_placement(case):
+    """The builder placing ``case``'s rows against its centers equals
+    :func:`_scan_with_centers`, counters included."""
+    pts, centers, eps, metric, defer, block = case
+    counters = Counters()
+    point_mc, founders, offsets, flat = build_micro_cluster_arrays(
+        pts, eps, counters=counters, metric=metric, defer_2eps=defer,
+        block_size=block, centers=centers,
+    )
+    want_mc, want_founders, n_waiting, leaf_tests = _scan_with_centers(
+        pts, eps, centers, metric, defer
+    )
+    np.testing.assert_array_equal(point_mc, want_mc)
+    np.testing.assert_array_equal(founders, want_founders)
+    assert counters.micro_clusters == founders.size
+    assert counters.deferred_points == n_waiting
+    assert counters.dist_calcs == leaf_tests
+    # the member CSR covers every MC, given or new, with rows of pts
+    assert offsets.shape == (centers.shape[0] + founders.size + 1,)
+    np.testing.assert_array_equal(np.sort(flat), np.arange(pts.shape[0]))
+    owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    np.testing.assert_array_equal(point_mc[flat], owner)
+
+
 @st.composite
 def _placement_case(draw):
     dim = draw(st.integers(1, 3))
@@ -464,25 +495,7 @@ class TestPlacementAgainstCenters:
     )
     @given(_placement_case())
     def test_equals_per_point_scan(self, case):
-        pts, centers, eps, metric, defer, block = case
-        counters = Counters()
-        point_mc, founders, offsets, flat = build_micro_cluster_arrays(
-            pts, eps, counters=counters, metric=metric, defer_2eps=defer,
-            block_size=block, centers=centers,
-        )
-        want_mc, want_founders, n_waiting, leaf_tests = _scan_with_centers(
-            pts, eps, centers, metric, defer
-        )
-        np.testing.assert_array_equal(point_mc, want_mc)
-        np.testing.assert_array_equal(founders, want_founders)
-        assert counters.micro_clusters == founders.size
-        assert counters.deferred_points == n_waiting
-        assert counters.dist_calcs == leaf_tests
-        # the member CSR covers every MC, given or new, with rows of pts
-        assert offsets.shape == (centers.shape[0] + founders.size + 1,)
-        np.testing.assert_array_equal(np.sort(flat), np.arange(pts.shape[0]))
-        owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-        np.testing.assert_array_equal(point_mc[flat], owner)
+        _check_placement(case)
 
     @settings(
         max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -530,3 +543,114 @@ class TestPlacementAgainstCenters:
         np.testing.assert_array_equal(founders, [2])
         with pytest.raises(ValueError, match="centers"):
             build_micro_cluster_arrays(pts, 1.0, centers=np.zeros((2, 3)))
+
+
+#: ``_ROUND_MIN_FOUNDERS`` values that force one founding path on every
+#: block: rounds until the block is decided (the no-stencil blocks still
+#: walk), or the row-by-row walk alone
+_PATHS = {"rounds": 1, "walk": 2**62}
+
+
+@contextlib.contextmanager
+def _founding(path=None, pair_budget=None):
+    """Force ``path`` (default: neither); yields a list that gets the
+    size of each pass of the founding rounds' :func:`pair_passes`."""
+    passes = []
+
+    def spy(*args):
+        for owner, later in grid.pair_passes(*args):
+            passes.append(owner.size)
+            yield owner, later
+
+    with pytest.MonkeyPatch.context() as mp:
+        if path is not None:
+            mp.setattr(builder, "_ROUND_MIN_FOUNDERS", _PATHS[path])
+        mp.setattr(builder, "pair_passes", spy)
+        if pair_budget is not None:
+            mp.setattr(builder, "_PAIR_BUDGET", pair_budget)
+        yield passes
+
+
+def _chain(n, gap):
+    """``n`` points in row order along a line, ``gap`` apart (ε = 1)."""
+    return np.stack([np.arange(n) * gap, np.zeros(n)], axis=1)
+
+
+class TestFoundingPaths:
+    """Each block founds its MCs in rounds and then walks what the
+    rounds leave; both paths, forced on every block, must equal the
+    reference scan bit for bit."""
+
+    @pytest.mark.parametrize("path", _PATHS)
+    @pytest.mark.parametrize("name", dataset_names()[::3])
+    def test_registry_three_metrics(self, name, path):
+        pts, spec = load_dataset(name, scale=0.1, seed=19)
+        for metric in (EUCLIDEAN, MANHATTAN, CHEBYSHEV):
+            with _founding(path) as passes:
+                _assert_builders_identical(pts, spec.eps, metric=metric)
+            if path == "walk":
+                assert not passes
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 160),
+        dim=st.integers(1, 3),
+        scale_num=st.integers(1, 8),
+    )
+    def test_adversarial_eps_boundary(self, seed, n, dim, scale_num):
+        # the ε/4 lattice of TestGridBuilderParity, wide enough (16ε)
+        # for its cells to outnumber the stencil, so rounds can run
+        pts, eps = _lattice(seed, n, dim, scale_num, 64)
+        for path in _PATHS:
+            for metric in (EUCLIDEAN, MANHATTAN, CHEBYSHEV):
+                with _founding(path):
+                    _assert_builders_identical(pts, eps, metric=metric, block_size=16)
+
+    @pytest.mark.parametrize("path", _PATHS)
+    @pytest.mark.parametrize("gap", [0.6, 1.9])
+    def test_sorted_chains(self, gap, path):
+        # every listed row waits on the one before it: one newborn a round
+        for block_size in (16, 4096):
+            with _founding(path) as passes:
+                _assert_builders_identical(_chain(300, gap), 1.0, block_size=block_size)
+            assert bool(passes) == (path == "rounds")
+
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_no_stencil_cloud_walks(self, path):
+        # 16-D: the 3^16 stencil outnumbers the cells, so no block runs
+        # rounds whatever the threshold
+        pts = np.random.default_rng(31).normal(0.0, 0.6, (300, 16))
+        with _founding(path) as passes:
+            _assert_builders_identical(pts, 0.5)
+        assert not passes
+
+    @pytest.mark.parametrize("pair_budget", [1, 7])
+    def test_round_pass_budgets(self, pair_budget):
+        rng = np.random.default_rng(32)
+        pts = rng.random((600, 2)) * 30.0
+        for metric in (EUCLIDEAN, MANHATTAN, CHEBYSHEV):
+            with _founding("rounds", pair_budget) as passes:
+                _assert_builders_identical(pts, 1.0, metric=metric)
+            assert passes and max(passes) <= pair_budget
+        with _founding("rounds", pair_budget):
+            _assert_builders_identical(_chain(200, 0.7), 1.0, block_size=64)
+
+    def test_default_runs_rounds_then_walks(self):
+        # a uniform 3-D cloud: rounds decide most of each block; on a
+        # chain the first round finds one newborn, so the walk takes over
+        pts = np.random.default_rng(33).random((3000, 3)) * 25.0
+        with _founding() as cloud:
+            _assert_builders_identical(pts, 1.0)
+        with _founding() as chain:
+            _assert_builders_identical(_chain(300, 0.7), 1.0)
+        assert cloud and not chain
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(_placement_case())
+    def test_placement_against_centers(self, case):
+        for path in _PATHS:
+            with _founding(path):
+                _check_placement(case)

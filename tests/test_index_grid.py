@@ -321,13 +321,11 @@ class TestCellGroups:
         q = rng.random((50, 2)) * 6.0 - 0.5
         q_cells, q_cell = hash_cells(q, 0.5, scale=5.0)
         owner = np.arange(50) + 1000
-        n, passes = groups.join(q_cells, q_cell, owner, budget)
-        passes = list(passes)
+        passes = list(groups.join(q_cells, q_cell, owner, budget))
         if budget:
             assert max(o.size for o, _ in passes) <= budget
         got_owner = np.concatenate([o for o, _ in passes])
         got_ids = np.concatenate([i for _, i in passes])
-        assert n == got_ids.size
         assert np.all(np.diff(got_owner) >= 0)  # query after query
         near = (np.abs(q_cells[q_cell][:, None] - cells[cell_of][None]) <= 1).all(axis=2)
         i, j = np.nonzero(near)
@@ -335,8 +333,31 @@ class TestCellGroups:
             zip(owner[i].tolist(), j.tolist())
         )
 
+    @pytest.mark.parametrize("cell_pairs", [1, 54, 189])
+    def test_chunked_join_keeps_every_pair_in_input_order(self, cell_pairs, monkeypatch):
+        # 3-D over more than 27 cells: a query cell has at most 27
+        # adjacent cells, so these budgets join 1, 2 and 7 queries a chunk
+        rng = np.random.default_rng(7)
+        pts = rng.random((400, 3)) * 4.0
+        cells, cell_of = hash_cells(pts, 0.5, scale=4.0)
+        groups = CellGroups.of(cells, cell_of)
+        q = rng.random((60, 3)) * 4.0
+        q_cells, q_cell = hash_cells(q, 0.5, scale=4.0)
+        owner = np.arange(60) * 2
+
+        def pairs(budget):
+            passes = list(groups.join(q_cells, q_cell, owner, budget))
+            return (np.concatenate([o for o, _ in passes]),
+                    np.concatenate([i for _, i in passes]))
+
+        want = pairs(None)  # one chunk
+        assert cells.shape[0] > 27
+        monkeypatch.setattr(grid_mod, "_JOIN_CELL_PAIRS", cell_pairs)
+        for budget in (None, 5):
+            got = pairs(budget)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_no_queries(self):
         cells, cell_of = hash_cells(np.zeros((3, 2)), 1.0)
         none = np.empty(0, dtype=np.int64)
-        n, passes = CellGroups.of(cells, cell_of).join(cells[:0], none, none)
-        assert n == 0 and list(passes) == []
+        assert list(CellGroups.of(cells, cell_of).join(cells[:0], none, none)) == []

@@ -8,7 +8,9 @@ import pytest
 import repro
 from repro.core.mudbscan import run_mu_dbscan_state
 from repro.core.params import DBSCANParams
+from repro.data.registry import load_dataset
 from repro.geometry.distance import neighbors_within, sq_dist
+from repro.index import grid
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import build_micro_cluster_arrays
@@ -193,6 +195,34 @@ class TestReachabilityMemory:
         assert reach_offsets.shape == (len(centers) + 1,)
         assert np.all(np.diff(reach_offsets) >= 1)
         assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+    @pytest.mark.parametrize("case", ["fof-14d", "normal-16d"])
+    def test_chunked_join_peak_and_parity(self, case, monkeypatch):
+        # MCs in nearly as many cells, nearly all adjacent: joined in one
+        # chunk, the cell pairs grow with m² (136.9 and 206.5 MiB here)
+        if case == "fof-14d":
+            pts, spec = load_dataset("FOF28M14D", scale=4)
+            eps = spec.eps
+        else:
+            pts, eps = np.random.default_rng(0).normal(0.0, 0.6, (2000, 16)), 0.5
+        _, center_rows, _, _ = build_micro_cluster_arrays(pts, eps)
+        centers = pts[center_rows]
+        chunked = Counters()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = compute_reachable(centers, eps, chunked)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+        monkeypatch.setattr(grid, "_JOIN_CELL_PAIRS", 2**62)  # one chunk
+        whole = Counters()
+        want = compute_reachable(centers, eps, whole)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert chunked.dist_calcs == whole.dist_calcs
+        assert len(centers) > 1900 and want[1].size > len(centers)
 
 
 class TestFlatStore:
