@@ -23,7 +23,11 @@ each start component of the block's rows gets one vectorized distance
 matrix against the core candidates outside it, and the induced
 bipartite ε-graph is collapsed with a single ``connected_components``
 call — the union-find then needs at most one merge per node rather
-than one per ε-edge.
+than one per ε-edge.  Before any block is gathered, one array pass
+drops the reachable MCs that cannot add an edge — those with no core
+member, or whose core members all share the one start root of the
+block's rows (and, in μDBSCAN-D, that hold no unknown candidate) — so
+only the rest is read from the member arrays, all in one gather.
 
 **POST-PROCESSING-NOISE** (Alg. 8): a provisional-noise point ``p``
 stored its ε-neighborhood; if any of those neighbors is core *now*,
@@ -33,16 +37,82 @@ queries are needed.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
 from repro.core.state import MuDBSCANState
+from repro.index.grid import concat_ranges
 
 
 __all__ = ["postprocess_core", "postprocess_noise"]
+
+
+def _wndq_groups(state: MuDBSCANState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wndq-core rows grouped by MC: returns ``(mcs, bounds, rows)``,
+    MC ``mcs[g]``'s rows being ``rows[bounds[g]:bounds[g + 1]]``.  MCs
+    come in order of first appearance in ``wndq_corelist`` and each
+    MC's rows in list order: μDBSCAN-D's cross pairs are deduplicated
+    keeping first occurrence, and their order decides border claims at
+    the global merge."""
+    corelist = np.asarray(state.wndq_corelist, dtype=np.int64)
+    mcs, first, inverse = np.unique(
+        state.murtree.point_mc[corelist], return_index=True, return_inverse=True
+    )
+    seq = np.argsort(first)
+    rank = np.empty_like(seq)
+    rank[seq] = np.arange(seq.size)
+    group = rank[inverse.reshape(-1)]
+    bounds = np.zeros(seq.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=seq.size), out=bounds[1:])
+    return mcs[seq], bounds, corelist[np.argsort(group, kind="stable")]
+
+
+def _useful_blocks(
+    state: MuDBSCANState,
+    roots: np.ndarray,
+    mcs: np.ndarray,
+    bounds: np.ndarray,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reach blocks of the wndq MCs ``mcs`` (rows grouped as
+    :func:`_wndq_groups` returns them), without the reachable MCs that
+    cannot add an edge, gathered in one pass: returns ``(offsets,
+    candidates)``, block ``g`` at ``candidates[offsets[g]:offsets[g +
+    1]]``, each in the reach block's order.
+
+    A reachable MC ``w`` of MC ``k`` is dropped when it holds no
+    unknown candidate and either no core member or — when all of
+    ``k``'s rows share one start root — only core members of that same
+    root: such a candidate is either never a graph node or one no row
+    may be compared with, so the graph, the unions and ``dist_calcs``
+    are those of the full block.  Per MC ``w``, one pass over the member
+    arrays finds the single start root of its core members (or none,
+    or several) and whether it holds an unknown candidate."""
+    tree = state.murtree
+    member, starts = tree.member_flat, tree.member_offsets[:-1]
+    is_core = state.core[member]
+    member_root = roots[member]
+    low = np.minimum.reduceat(np.where(is_core, member_root, member.size), starts)
+    high = np.maximum.reduceat(np.where(is_core, member_root, -1), starts)
+    has_core = high >= 0
+    mc_root = np.where(low == high, high, -2)  # -2: several roots
+    unknown = np.logical_or.reduceat(state.postprocess_unknown_mask(member), starts)
+    row_roots = roots[rows]
+    shared = np.minimum.reduceat(row_roots, bounds[:-1])
+    shared[shared != np.maximum.reduceat(row_roots, bounds[:-1])] = -1  # several
+
+    first = tree.reach_offsets[mcs]
+    n_reach = tree.reach_offsets[mcs + 1] - first
+    reach = tree.reach_flat[concat_ranges(first, n_reach)]
+    owner = np.repeat(np.arange(mcs.size), n_reach)
+    keep = unknown[reach] | (has_core[reach] & (mc_root[reach] != shared[owner]))
+    size = np.where(keep, tree.member_offsets[reach + 1] - tree.member_offsets[reach], 0)
+    ends = np.zeros(reach.size + 1, dtype=np.int64)
+    np.cumsum(size, out=ends[1:])
+    reach_ends = np.zeros(mcs.size + 1, dtype=np.int64)
+    np.cumsum(n_reach, out=reach_ends[1:])
+    return ends[reach_ends], np.take(member, tree.member_positions(reach[keep]))
 
 
 def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
@@ -55,7 +125,8 @@ def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
     promoted by Algorithm 6 step (iii) joins the querying core's
     component.  In μDBSCAN-D a halo row stays a local singleton, and so
     can an owned row whose MC center is a halo point (its Algorithm 4
-    union became a cross pair).
+    union became a cross pair).  The blocks are gathered once, without
+    the reachable MCs that cannot add an edge (:func:`_useful_blocks`).
 
     Two candidate classes per MC block:
 
@@ -76,13 +147,14 @@ def _postprocess_core_batched(state: MuDBSCANState, roots: np.ndarray) -> None:
     metric = state.murtree.metric
     points = state.murtree.points
     counters = state.counters
-    by_mc: dict[int, list[int]] = defaultdict(list)
-    for row in state.wndq_corelist:
-        by_mc[int(state.murtree.point_mc[row])].append(row)
+    mcs, bounds, wndq_rows = _wndq_groups(state)
+    offsets, blocks = _useful_blocks(state, roots, mcs, bounds, wndq_rows)
 
-    for mc_id, rows_list in by_mc.items():
-        candidates = state.murtree.reach_block(mc_id)
-        rows = np.asarray(rows_list, dtype=np.int64)
+    for g in range(mcs.size):
+        candidates = blocks[offsets[g] : offsets[g + 1]]
+        if not candidates.size:
+            continue
+        rows = wndq_rows[bounds[g] : bounds[g + 1]]
 
         core_cand = candidates[state.core[candidates]]
         if core_cand.size:

@@ -29,19 +29,22 @@ so issuing one Python-level :meth:`MuRTree.query_ball` per point
 re-gathers the same candidates ``|MC|`` times.  The batched path splits
 *computing* neighborhoods from *consuming* verdicts, and computes them
 with one of two kernels chosen per MC from the size of its reach block
-(``MuRTree.block_offsets``):
+(``MuRTree.block_offsets``).  Both gather each block they scan from the
+member arrays through the reach CSR, in the block's order:
 
 * **dense sub-blocks** — rows of a block of at least
   ``DENSE_MIN_CANDIDATES`` candidates are answered per MC by
   :meth:`MuRTree.query_ball_block`, a few of the MC's still-live rows
   at a time (lazy sub-blocks growing geometrically — see
-  ``_process_batched``), one distance matrix each;
+  ``_process_batched``), one distance matrix each, over the block's
+  coordinates gathered for that call (no block is kept between a dense
+  MC's sub-blocks);
 * **flat waves** — any other row that needs an answer starts a wave
   over the next still-live small-block rows in global order, up to
-  ``_WAVE_PAIRS`` (row, candidate) pairs gathered through the block
-  CSR and scored in one pass (``_flat_wave``).  Small blocks are most
-  MCs of sparse data, where one call per sub-block made the fixed cost
-  of a call the whole phase.
+  ``_WAVE_PAIRS`` (row, candidate) pairs, gathered and scored in one
+  pass (``_flat_wave``).  Small blocks are most MCs of sparse data,
+  where one call per sub-block made the fixed cost of a call the whole
+  phase.
 
 The pending rows are walked in the **original global row order**; when
 a row's answer is not yet available its kernel computes it (with the
@@ -78,7 +81,6 @@ import time
 import numpy as np
 
 from repro.core.state import MuDBSCANState
-from repro.index.grid import concat_ranges
 from repro.microcluster.murtree import (
     DEFAULT_BLOCK_SIZE,
     DENSE_MIN_CANDIDATES,
@@ -255,19 +257,17 @@ def _flat_wave(
     Each pair is scored with the direct per-pair form
     :meth:`MuRTree.query_ball` applies to a whole block, so every
     verdict is bit-identical to the per-point path's whatever the
-    wave's shape; counts and neighbour lists come from segment
-    reductions and keep the block CSR's order."""
+    wave's shape; the rows' blocks are gathered in one pass
+    (:meth:`MuRTree.block_positions`), and counts and neighbour lists
+    come from segment reductions in the blocks' order."""
     pair_end = np.cumsum(costs)
-    cand = np.take(
-        murtree.block_rows,
-        concat_ranges(murtree.block_offsets[murtree.point_mc[rows]], costs),
-    )
+    _, at = murtree.block_positions(murtree.point_mc[rows])
     points = murtree.points
-    diff = np.take(points, cand, axis=0)
+    diff = np.take(murtree.member_points, at, axis=0)
     diff -= np.repeat(np.take(points, rows, axis=0), costs, axis=0)
     raw = murtree.metric.raw_to_point(diff, np.zeros(points.shape[1]))
     hit = raw < eps_raw
-    nbr = cand[hit]
+    nbr = np.take(murtree.member_flat, at[hit])
     nbr_raw = raw[hit]
     hits_before = np.zeros(hit.size + 1, dtype=np.int64)
     np.cumsum(hit, out=hits_before[1:])

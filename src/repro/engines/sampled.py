@@ -56,6 +56,35 @@ from repro.unionfind import UnionFind
 __all__ = ["SampledCoreEngine"]
 
 
+#: reach-block rows gathered per pass by :func:`_with_blocks` (8 MiB of
+#: positions); the ``blobs`` fit input's blocks total 908,751 rows
+_GATHER_ROWS = 1 << 20
+
+
+def _with_blocks(murtree: MuRTree, groups: list, keep: np.ndarray):
+    """Yield ``(rows, block)`` for each ``(mc_id, rows)`` of ``groups``:
+    the MC's reach-block rows ``r`` with ``keep[r]``, in block order.
+    The blocks are gathered in one pass per ``_GATHER_ROWS`` rows
+    (:meth:`MuRTree.block_positions`) and sliced; ``keep`` is read when
+    a pass is gathered."""
+    ids = np.asarray([mc_id for mc_id, _ in groups], dtype=np.int64)
+    ends = np.cumsum(np.diff(murtree.block_offsets)[ids])
+    start = 0
+    while start < ids.size:
+        budget = (ends[start - 1] if start else 0) + _GATHER_ROWS
+        stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+        offsets, at = murtree.block_positions(ids[start:stop])
+        rows = np.take(murtree.member_flat, at)
+        kept = keep[rows]
+        before = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=before[1:])
+        bounds = before[offsets].tolist()
+        rows = rows[kept]
+        for i in range(stop - start):
+            yield groups[start + i][1], rows[bounds[i] : bounds[i + 1]]
+        start = stop
+
+
 def _groups_by_mc(point_mc: np.ndarray, rows: np.ndarray):
     """Yield ``(mc_id, rows_of_mc)`` with rows ascending within groups."""
     if rows.size == 0:
@@ -247,11 +276,8 @@ class SampledCoreEngine(ClusteringEngine):
             links: list[np.ndarray] = []
             bridge_rows: list[int] = []
             bridge_cores: list[np.ndarray] = []
-            for mc_id, rows in _groups_by_mc(
-                murtree.point_mc, np.flatnonzero(~core)
-            ):
-                cand = murtree.reach_block(mc_id)
-                cand = cand[core[cand]]
+            groups = list(_groups_by_mc(murtree.point_mc, np.flatnonzero(~core)))
+            for rows, cand in _with_blocks(murtree, groups, core):
                 if cand.size == 0:
                     continue
                 cand = np.sort(cand)  # argmin's first-hit = smallest row
@@ -304,9 +330,8 @@ class SampledCoreEngine(ClusteringEngine):
                 if un_rows.size == 0:
                     break
                 suspects: set[int] = set()
-                for mc_id, rows in _groups_by_mc(murtree.point_mc, un_rows):
-                    cand = murtree.reach_block(mc_id)
-                    cand = cand[assigned[cand] & ~core[cand]]
+                groups = list(_groups_by_mc(murtree.point_mc, un_rows))
+                for rows, cand in _with_blocks(murtree, groups, assigned & ~core):
                     if cand.size == 0:
                         continue
                     cand_pts = pts[cand]
@@ -338,9 +363,8 @@ class SampledCoreEngine(ClusteringEngine):
                 ):
                     break
                 # assign the fringe against the enlarged core set
-                for mc_id, rows in _groups_by_mc(murtree.point_mc, un_rows):
-                    cand = murtree.reach_block(mc_id)
-                    cand = np.sort(cand[core[cand]])
+                for rows, cand in _with_blocks(murtree, groups, core):
+                    cand = np.sort(cand)
                     if cand.size == 0:
                         continue
                     cand_pts = pts[cand]

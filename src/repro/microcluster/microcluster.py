@@ -67,9 +67,7 @@ class MicroCluster:
         "mbr_high",
         "ic_rows",
         "reach_ids",
-        "reach_rows",
-        "_reach_points",
-        "_dataset",
+        "reach_store",
         "aux_tree",
     )
 
@@ -84,12 +82,9 @@ class MicroCluster:
         self.mbr_high: np.ndarray | None = None
         self.ic_rows: np.ndarray | None = None
         self.reach_ids: np.ndarray | None = None
-        #: concatenation of the reachable MCs' member rows (aux_index=
-        #: "cached" — one vectorized scan per ε-query); its coordinates
-        #: are copied into ``reach_points`` on first use
-        self.reach_rows: np.ndarray | None = None
-        self._reach_points: np.ndarray | None = None
-        self._dataset: np.ndarray | None = None
+        #: a weak proxy of the ``MuRTree`` whose reach blocks
+        #: :attr:`reach_rows` reads, set by its ``mcs`` view
+        self.reach_store = None
         self.aux_tree = None  # PointRTree when aux_index="rtree"
 
     # ------------------------------------------------------------------
@@ -142,28 +137,22 @@ class MicroCluster:
             mc.ic_rows = ic_rows[ic_bounds[i] : ic_bounds[i + 1]]
 
     # ------------------------------------------------------------------
-    # reach block (aux_index="cached")
+    # reach block
 
-    def set_reach_rows(
-        self,
-        rows: np.ndarray,
-        points: np.ndarray,
-        coords: np.ndarray | None = None,
-    ) -> None:
-        """Attach the reach block's rows of the dataset ``points``, with
-        their coordinates ``coords`` when the caller gathered them; else
-        they are copied when :attr:`reach_points` is first read."""
-        self.reach_rows = rows
-        self._dataset = points
-        self._reach_points = coords
+    @property
+    def reach_rows(self) -> np.ndarray | None:
+        """Rows of the reach block, the reachable MCs' members
+        concatenated, gathered from :attr:`reach_store` on each read
+        (``None`` without a store)."""
+        if self.reach_store is None:
+            return None
+        return self.reach_store.reach_block(self.mc_id)
 
     @property
     def reach_points(self) -> np.ndarray | None:
-        """Coordinates of :attr:`reach_rows`, a private contiguous block
-        made on first read (``None`` until the rows are attached)."""
-        if self._reach_points is None and self.reach_rows is not None:
-            self._reach_points = np.take(self._dataset, self.reach_rows, axis=0)
-        return self._reach_points
+        """Coordinates of :attr:`reach_rows`, gathered on each read."""
+        rows = self.reach_rows
+        return None if rows is None else np.take(self.reach_store.points, rows, axis=0)
 
     # ------------------------------------------------------------------
     # classification (valid after freeze)

@@ -10,12 +10,13 @@ so the index is the MC structure itself, held as one set of flat arrays
 Level 2 answers ε-queries over each MC's reachable MCs in one of three
 ``aux_index`` modes: ``"cached"`` (the default) scans the MC's reach
 block, the concatenated members of its reachable MCs, in one vectorized
-pass; ``"flat"`` scans each reachable MC's slice of the member
-coordinates after per-point MBR filtration; ``"rtree"`` walks a per-MC
-AuxR-tree, the paper's structure.  With the paper's ``r`` in the tens to
-hundreds, a numpy distance pass over a block beats a Python-level tree
-walk, and the *search-space* reduction, which is what the design
-contributes, is the same.  All three modes return exactly the same
+pass, gathering it from the member arrays through the reach CSR for
+each call (no block is stored); ``"flat"`` scans each reachable MC's
+slice of the member coordinates after per-point MBR filtration;
+``"rtree"`` walks a per-MC AuxR-tree, the paper's structure.  With the
+paper's ``r`` in the tens to hundreds, a numpy distance pass over a
+block beats a Python-level tree walk, and the *search-space* reduction,
+which is what the design contributes, is the same.  All three modes return exactly the same
 neighborhoods; the test suite asserts it.
 
 A neighborhood query for point ``x ∈ MC(p)`` (paper §IV-B2):
@@ -28,11 +29,13 @@ A neighborhood query for point ``x ∈ MC(p)`` (paper §IV-B2):
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.geometry.distance import require_finite, sq_dists_to_point
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
-from repro.index.grid import concat_ranges, neighbor_members
+from repro.index.grid import concat_ranges
 from repro.index.rtree import PointRTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import (
@@ -51,9 +54,9 @@ DEFAULT_BLOCK_SIZE = 1024
 
 #: reach blocks of at least this many candidates are *dense*: Algorithm 6
 #: answers their MC's rows per MC with ``query_ball_block`` matrices (one
-#: BLAS expansion each), so their coordinates are copied when the blocks
-#: are laid out; smaller blocks are answered by flat waves of (row,
-#: candidate) pairs (``repro.core.remaining``).  On the perfbench fit
+#: BLAS expansion each, over the block's coordinates gathered for that
+#: call); smaller blocks are answered by flat waves of (row, candidate)
+#: pairs (``repro.core.remaining``).  On the perfbench fit
 #: inputs (``halos``: 5,376 MCs, median reach block 11 candidates;
 #: ``blobs``: 941 MCs, median 450) Algorithm 6 took 0.31 / 0.19 / 0.19 /
 #: 0.17 s on ``halos`` and 0.50 / 0.46 / 0.49 / 1.13 s on ``blobs`` with
@@ -91,8 +94,8 @@ def _check_aux_index(aux_index: str, metric: Metric) -> None:
 class BlockQueryResult:
     """Answers of one batched per-MC ε-neighborhood query.
 
-    Every member of a micro-cluster shares the MC's cached reachable
-    block (Lemma 3), so :meth:`MuRTree.query_ball_block` answers many
+    Every member of a micro-cluster shares the MC's reach block
+    (Lemma 3), so :meth:`MuRTree.query_ball_block` answers many
     queries with one ``(rows x block)`` distance matrix.  Results are
     stored flat (one concatenated neighbor array plus offsets) so the
     per-row views handed back by :meth:`nbrs` / :meth:`raw` /
@@ -178,8 +181,10 @@ class MuRTree:
     (members strictly within ``eps / 2`` of the center) as the CSR
     :attr:`ic_offsets` / :attr:`ic_flat`.  :meth:`compute_reachability`
     adds the reach CSR :attr:`reach_offsets` / :attr:`reach_flat`
-    (reachable MC ids, ascending) and, in ``cached`` mode, the block CSR
-    :attr:`block_offsets` / :attr:`block_rows`.  Per-MC
+    (reachable MC ids, ascending) and :attr:`block_offsets`, the prefix
+    sums of the reach blocks' lengths.  No block is stored: every reader
+    gathers it from :attr:`member_flat` / :attr:`member_points` through
+    the reach CSR (:meth:`block_positions`).  Per-MC
     :class:`MicroCluster` objects exist only as the :attr:`mcs` view.
 
     Parameters
@@ -189,13 +194,12 @@ class MuRTree:
     eps:
         DBSCAN ε — fixes the MC radius and all derived thresholds.
     aux_index:
-        ``"cached"`` (default): each MC gets its *reach block*, the
-        concatenation of its reachable MCs' member rows, so every
-        ε-query is a *single* vectorized distance pass — this is where
-        the design's spatial locality pays off under numpy (reachable
-        sets are small and reused by every member of the MC).
-        Coordinates are copied for the dense blocks only, and for any
-        other block on first use.  ``"flat"``: per-reachable-MC
+        ``"cached"`` (default): each MC's ε-queries scan its *reach
+        block*, the concatenation of its reachable MCs' members, in a
+        *single* vectorized distance pass — this is where the design's
+        spatial locality pays off under numpy (reachable sets are small
+        and shared by every member of the MC).  The block is gathered
+        from the member arrays for each call.  ``"flat"``: per-reachable-MC
         vectorized scans with per-point MBR filtration.  ``"rtree"``:
         per-MC STR-packed AuxR-trees as in the paper's Fig. 1.  All
         three return identical neighborhoods.
@@ -274,11 +278,7 @@ class MuRTree:
         self.filtration = filtration
         self.counters = counters if counters is not None else Counters()
         self.reach_offsets = self.reach_flat = None
-        self.block_offsets = self.block_rows = None
-        #: the dense blocks' coordinates, MC ``k``'s at
-        #: ``dense_coords[dense_offsets[k]:dense_offsets[k + 1]]``
-        self.dense_coords = self.dense_offsets = None
-        self._block_copies: dict[int, np.ndarray] = {}  # the other blocks'
+        self.block_offsets = None
         self._aux_trees: list[PointRTree] | None = None
         self._mcs: list[MicroCluster] | None = None
 
@@ -294,6 +294,7 @@ class MuRTree:
         self.member_points, self.mbr_low, self.mbr_high, self.ic_offsets, self.ic_flat = (
             _read_only(*derived)
         )
+        (self._member_sizes,) = _read_only(np.diff(self.member_offsets))
         if self.aux_index == "rtree":
             bounds = self.member_offsets.tolist()
             self._aux_trees = [
@@ -339,11 +340,51 @@ class MuRTree:
             raise RuntimeError("call compute_reachability() before querying")
         return self.reach_flat[self.reach_offsets[mc_id] : self.reach_offsets[mc_id + 1]]
 
-    def reach_block(self, mc_id: int) -> np.ndarray:
-        """Rows of MC ``mc_id``'s reach block (``cached`` mode)."""
+    def member_positions(self, mc_ids: np.ndarray) -> np.ndarray:
+        """Positions in :attr:`member_flat` / :attr:`member_points` of the
+        members of ``mc_ids``, MC after MC, each MC's in member order.
+
+        Each MC's range is placed by one ``repeat``, in a handful of
+        numpy method calls: per-call readers gather one MC's short reach
+        list, where fixed cost dominates (a block's coordinates took 5.4
+        µs a call on ``halos`` and 9.6 on ``blobs``, against 11.4 and
+        18.2 through ``concat_ranges``; timeit, 2-vCPU VM)."""
+        count = self._member_sizes.take(mc_ids)
+        ends = count.cumsum()
+        at = self.member_offsets.take(mc_ids)
+        at -= ends
+        at += count
+        at = at.repeat(count)
+        at += np.arange(ends[-1] if ends.size else 0)
+        return at
+
+    def block_positions(self, mc_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The reach blocks of ``mc_ids`` gathered in one pass, as
+        positions in the member arrays: returns ``(offsets, at)``, block
+        ``i`` being ``at[offsets[i]:offsets[i + 1]]``.  A block lists its
+        reachable MCs' members in the reach CSR's order: ascending MC id,
+        then each MC's members in member order.  Readers that walk many
+        MCs gather here once and slice."""
         if self.block_offsets is None:
             raise RuntimeError("call compute_reachability() before querying")
-        return self.block_rows[self.block_offsets[mc_id] : self.block_offsets[mc_id + 1]]
+        ids = np.asarray(mc_ids, dtype=np.int64)
+        first = self.reach_offsets[ids]
+        reach = self.reach_flat[concat_ranges(first, self.reach_offsets[ids + 1] - first)]
+        offsets = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(self.block_offsets[ids + 1] - self.block_offsets[ids], out=offsets[1:])
+        return offsets, self.member_positions(reach)
+
+    def _block_at(self, mc_id: int) -> np.ndarray:
+        """:meth:`block_positions` of one MC."""
+        if self.block_offsets is None:
+            raise RuntimeError("call compute_reachability() before querying")
+        lo, hi = self.reach_offsets[mc_id], self.reach_offsets[mc_id + 1]
+        return self.member_positions(self.reach_flat[lo:hi])
+
+    def reach_block(self, mc_id: int) -> np.ndarray:
+        """Rows of MC ``mc_id``'s reach block, gathered from the member
+        CSR on each call."""
+        return self.member_flat.take(self._block_at(mc_id))
 
     def mc_kinds(self, min_pts: int) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the DMCs (``|IC| >= min_pts``) and CMCs (the others
@@ -363,8 +404,9 @@ class MuRTree:
 
         Built on first read and kept until :meth:`compute_reachability`
         changes the reach state; ``reach_ids`` is set once Algorithm 5
-        ran, ``reach_rows`` once the reach blocks are laid out, and
-        ``aux_tree`` in ``rtree`` mode.  No fit step reads them."""
+        ran, and ``aux_tree`` in ``rtree`` mode.  An MC's ``reach_rows``
+        / ``reach_points`` are gathered from this store when read, so
+        the view holds no block.  No fit step reads the view."""
         if self._mcs is None:
             pts = self.points
             rows = self.center_rows.tolist()
@@ -372,13 +414,12 @@ class MuRTree:
             MicroCluster.freeze_batch(
                 self._mcs, self.member_flat, self.member_offsets, pts, self.eps, self.metric
             )
+            # weak, so the view does not keep its store alive
+            blocks = None if self.block_offsets is None else weakref.proxy(self)
             for k, mc in enumerate(self._mcs):
                 if self.reach_offsets is not None:
                     mc.reach_ids = self.reach_ids(k)
-                if self.block_offsets is not None:
-                    lo, hi = self.dense_offsets[k], self.dense_offsets[k + 1]
-                    dense = self.dense_coords[lo:hi] if hi > lo else None
-                    mc.set_reach_rows(self.reach_block(k), pts, dense)
+                mc.reach_store = blocks
                 if self._aux_trees is not None:
                     mc.aux_tree = self._aux_trees[k]
         return self._mcs
@@ -386,50 +427,20 @@ class MuRTree:
     def compute_reachability(self) -> None:
         """Compute the reach CSR (Algorithm 5) unless it is set; idempotent.
 
-        In ``cached`` mode this also lays out every MC's reach block —
-        the concatenated member rows of its reachable MCs — as one CSR,
-        :attr:`block_rows` cut by :attr:`block_offsets`.  Only the blocks
-        of at least :data:`DENSE_MIN_CANDIDATES` rows, whose MCs
-        Algorithm 6 answers per MC, get their coordinates copied here
-        (:attr:`dense_coords`), all in one gather; any other block is
-        copied on first read (by :meth:`query_ball` or
-        :meth:`query_ball_block`), so the small blocks of sparse data
-        hold no copy."""
+        Then sets :attr:`block_offsets`, the prefix sums of the reach
+        blocks' lengths (the distance work a ``cached``-mode query is
+        charged): O(m) integers, while the blocks themselves are gathered
+        by their readers."""
         if self.reach_offsets is None:
             centers = np.take(self.points, self.center_rows, axis=0)
             self._set_reach(
                 *compute_reachable(centers, self.eps, self.counters, metric=self.metric)
             )
-        if self.aux_index == "cached" and self.block_offsets is None:
-            self._lay_out_reach_blocks()
+        if self.block_offsets is None:
+            size = np.zeros(self.reach_flat.size + 1, dtype=np.int64)
+            np.cumsum(self._member_sizes[self.reach_flat], out=size[1:])
+            (self.block_offsets,) = _read_only(size[self.reach_offsets])
             self._mcs = None
-
-    def _lay_out_reach_blocks(self) -> None:
-        """Build the block CSR with one gather through the member CSR."""
-        self.block_offsets, self.block_rows = neighbor_members(
-            self.reach_offsets,
-            self.reach_flat,
-            self.member_offsets[:-1],
-            np.diff(self.member_offsets),
-            self.member_flat,
-        )
-        length = np.diff(self.block_offsets)
-        dense = length >= DENSE_MIN_CANDIDATES
-        at = concat_ranges(self.block_offsets[:-1][dense], length[dense])
-        self.dense_coords = np.take(self.points, self.block_rows[at], axis=0)
-        self.dense_offsets = np.zeros(length.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.where(dense, length, 0), out=self.dense_offsets[1:])
-        _read_only(self.block_offsets, self.block_rows, self.dense_coords, self.dense_offsets)
-
-    def _block_points(self, mc_id: int) -> np.ndarray:
-        """Coordinates of MC ``mc_id``'s reach block: a view into the
-        dense gather, or a private copy made on first use."""
-        lo, hi = self.dense_offsets[mc_id], self.dense_offsets[mc_id + 1]
-        if hi > lo:
-            return self.dense_coords[lo:hi]
-        if mc_id not in self._block_copies:
-            self._block_copies[mc_id] = np.take(self.points, self.reach_block(mc_id), axis=0)
-        return self._block_copies[mc_id]
 
     # ------------------------------------------------------------------
     # queries
@@ -468,11 +479,11 @@ class MuRTree:
         mc_id = int(self.point_mc[row])
         r_raw = self.metric.threshold(radius)
         if self.aux_index == "cached":
-            cand = self.reach_block(mc_id)
-            self.counters.dist_calcs += int(cand.shape[0])
-            raw = self.metric.raw_to_point(self._block_points(mc_id), x)
+            at = self._block_at(mc_id)
+            self.counters.dist_calcs += int(at.shape[0])
+            raw = self.metric.raw_to_point(self.member_points.take(at, axis=0), x)
             mask = raw < r_raw
-            return cand[mask], raw[mask]
+            return self.member_flat.take(at[mask]), raw[mask]
         keep = self._filtered_reach(x, mc_id, radius)
         rows_parts: list[np.ndarray] = []
         sq_parts: list[np.ndarray] = []
@@ -517,7 +528,7 @@ class MuRTree:
         All ``rows`` must belong to micro-cluster ``mc_id``: they then
         share the MC's reachable set (Lemma 3), so in ``cached`` mode the
         whole batch is answered by ``ceil(len(rows) / block_size)``
-        vectorized ``(chunk x |cached block|)`` distance-matrix passes
+        vectorized ``(chunk x |reach block|)`` distance-matrix passes
         instead of one Python-level :meth:`query_ball` per point.  Each
         answer is exactly what :meth:`query_ball` returns for that row
         (same strict-< semantics, same self-inclusion), plus the
@@ -536,7 +547,7 @@ class MuRTree:
             ``radius / 2`` — the wndq-core rule's ball).
         block_size:
             Row budget per distance block; bounds the transient matrix
-            to ``block_size x |cached block|`` doubles.
+            to ``block_size x |reach block|`` doubles.
         count_work:
             When True, charge ``len(rows) x |block|`` distance
             evaluations to the shared counters now.  ``False`` defers
@@ -578,9 +589,10 @@ class MuRTree:
                 )
             return self._query_ball_block_fallback(rows_arr, radius, h_raw)
 
-        cand_rows = self.reach_block(mc_id)
-        cand_pts = self._block_points(mc_id)
-        per_row_cost = int(cand_rows.shape[0])
+        # the block's coordinates for the matrices; rows only for hits
+        at = self._block_at(mc_id)
+        cand_pts = self.member_points.take(at, axis=0)
+        per_row_cost = int(at.shape[0])
         if count_work:
             self.counters.dist_calcs += rows_arr.size * per_row_cost
 
@@ -592,22 +604,24 @@ class MuRTree:
             raw_mat = self.metric.raw_pairwise(self.points[chunk], cand_pts)
             # flat positions of the hits, row-major: each row's hits in
             # ascending candidate order, as query_ball returns them
-            hit = np.flatnonzero(raw_mat < r_raw)
-            raw_parts.append(np.take(raw_mat, hit))
-            nbr_parts.append(np.take(cand_rows, hit % per_row_cost))
-            row_ends = np.searchsorted(
-                hit, np.arange(0, (chunk.size + 1) * per_row_cost, per_row_cost)
+            # (numpy methods, not functions: this runs once per MC of
+            # the sampled engine's passes, where call overhead shows)
+            hit = (raw_mat < r_raw).ravel().nonzero()[0]
+            raw_parts.append(raw_mat.take(hit))
+            nbr_parts.append(self.member_flat.take(at.take(hit % per_row_cost)))
+            row_ends = hit.searchsorted(
+                np.arange(0, (chunk.size + 1) * per_row_cost, per_row_cost)
             )
-            count_parts.append(np.diff(row_ends))
+            count_parts.append(row_ends[1:] - row_ends[:-1])
 
         counts = _flatten(count_parts, np.int64)
         raw_flat = _flatten(raw_parts, np.float64)
         offsets = np.zeros(rows_arr.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        counts.cumsum(out=offsets[1:])
         # |N_eps/2| per row from the already-gathered ε-values (the half
         # ball is a subset of the ε-ball) — no second full-matrix pass
         half_cum = np.zeros(raw_flat.size + 1, dtype=np.int64)
-        np.cumsum(raw_flat < h_raw, out=half_cum[1:])
+        (raw_flat < h_raw).cumsum(out=half_cum[1:])
         n_half = half_cum[offsets[1:]] - half_cum[offsets[:-1]]
         return BlockQueryResult(
             rows_arr,

@@ -369,8 +369,8 @@ class FittedModel:
         and the reachability lists are the stored CSRs, so
         ``serving_counters.micro_clusters`` stays 0 (Algorithm 3 never
         runs) and ``compute_reachability`` computes no distance
-        (Algorithm 5 never runs).  No reach block is laid out until
-        ``compute_reachability`` is called.
+        (Algorithm 5 never runs).  Its ``mcs`` view reads no reach
+        block until ``compute_reachability`` is called.
         """
         if self._murtree is None:
             self._murtree = MuRTree.from_arrays(

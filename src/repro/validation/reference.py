@@ -241,7 +241,7 @@ def reference_state(
             counters=counters,
             metric=metric,
         )
-        murtree.compute_reachability()  # the cached mode's reach blocks
+        murtree.compute_reachability()  # the reach blocks' lengths
     state = state_factory(murtree, params, counters)
     with timers.phase("clustering"):
         process_micro_clusters(state)

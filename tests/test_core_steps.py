@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from repro.core import postprocess
 from repro.core.params import DBSCANParams
 from repro.core.postprocess import postprocess_core, postprocess_noise
 from repro.core.process_mcs import process_micro_clusters
 from repro.core.remaining import process_remaining_points
 from repro.core.state import MuDBSCANState
 from repro.data.registry import dataset_names, load_dataset
-from repro.distributed.local import DistributedMuDBSCANState
+from repro.data.synthetic import blobs_with_noise
+from repro.distributed.local import DistributedMuDBSCANState, _local_inputs
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MCKind
 from repro.microcluster.murtree import MuRTree
@@ -347,6 +351,160 @@ class TestPostprocessCore:
         np.testing.assert_array_equal(state.assigned, ref_assigned)
         if expected_calcs is not None:
             assert state.counters.dist_calcs - dist_before == expected_calcs
+
+
+def _full_block_postprocess_core(state: MuDBSCANState) -> None:
+    """Cached-mode Algorithm 7 over whole reach blocks, no reachable MC
+    dropped: the union sequence the pre-filter must reproduce exactly."""
+    tree, roots = state.murtree, state.uf.roots()
+    points, eps_raw = tree.points, state.eps_raw
+    by_mc: dict[int, list[int]] = {}
+    for row in state.wndq_corelist:
+        by_mc.setdefault(int(tree.point_mc[row]), []).append(row)
+    for mc_id, rows_list in by_mc.items():
+        candidates = np.concatenate([tree.member_rows(w) for w in tree.reach_ids(mc_id)])
+        rows = np.asarray(rows_list, dtype=np.int64)
+        core_cand = candidates[state.core[candidates]]
+        row_roots, cand_roots = roots[rows], roots[core_cand]
+        ii, jj = [], []
+        for root in np.unique(row_roots):
+            sel = np.flatnonzero(row_roots == root)
+            cols = np.flatnonzero(cand_roots != root)
+            if cols.size:
+                state.counters.dist_calcs += int(sel.size) * int(cols.size)
+                raw = tree.metric.raw_pairwise(points[rows[sel]], points[core_cand[cols]])
+                i, j = np.nonzero(raw < eps_raw)
+                ii.append(sel[i])
+                jj.append(cols[j] + rows.size)
+        if ii and np.concatenate(ii).size:
+            nodes = np.concatenate([rows, core_cand])
+            edges = (np.concatenate(ii), np.concatenate(jj))
+            graph = sparse.coo_matrix(
+                (np.ones(edges[0].size), edges), shape=(nodes.size, nodes.size)
+            )
+            _, comp = connected_components(graph, directed=False)
+            for label in range(comp.max() + 1):
+                group = nodes[comp == label]
+                if group.size > 1:
+                    state.union_many(int(group[0]), group[group != group[0]])
+        unknown = candidates[state.postprocess_unknown_mask(candidates)]
+        if unknown.size:
+            state.counters.dist_calcs += int(rows.size) * int(unknown.size)
+            hit = tree.metric.raw_pairwise(points[rows], points[unknown]) < eps_raw
+            j = np.flatnonzero(hit.any(axis=0))
+            first = rows[np.argmax(hit[:, j], axis=0)]
+            owned = state.owned[first]
+            state.defer(first[owned], unknown[j[owned]])
+
+
+def _random_state(seed: int, distributed: bool) -> MuDBSCANState:
+    """A synthetic state on the eve of Algorithm 7: random cores and
+    wndq rows, the cores of each vertical band 1.5ε wide unioned (not
+    ε-bound), so blocks across a band edge have rows of several start
+    roots, and reachable MCs have cores of one, several or no roots; in
+    the distributed state a third of the points are halo."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 6.0, (300, 2))
+    tree = MuRTree(pts, 1.0)
+    tree.compute_reachability()
+    params, counters = DBSCANParams(eps=1.0, min_pts=3), Counters()
+    if distributed:
+        owned = rng.random(300) < 2 / 3
+        state = DistributedMuDBSCANState(tree, params, counters, owned, np.arange(300))
+    else:
+        state = MuDBSCANState(tree, params, counters)
+    core = np.flatnonzero(rng.random(300) < 0.6)
+    state.core[core] = True
+    for row in rng.permutation(core)[:90].tolist():
+        state.mark_wndq_core(row)
+    band = (pts[core, 0] // 1.5).astype(np.int64)
+    for b in np.unique(band):
+        state.union_many(int(core[band == b][0]), core[band == b])
+    return state
+
+
+class TestPostprocessCorePrefilter:
+    """Algorithm 7 drops, before any gather, the reachable MCs that
+    cannot add an edge.  Against the same pass over whole blocks it must
+    leave the same union-find roots, ``unions``, ``dist_calcs`` and
+    ``assigned`` flags and, in μDBSCAN-D, the same cross pairs in the
+    same order (their first occurrence decides border claims)."""
+
+    @staticmethod
+    def _assert_same_pass(make) -> None:
+        full, filtered = make(), make()
+        before = len(getattr(full, "cross_pairs", []))
+        _full_block_postprocess_core(full)
+        postprocess_core(filtered)
+        np.testing.assert_array_equal(filtered.uf.roots(), full.uf.roots())
+        assert filtered.counters.to_dict() == full.counters.to_dict()
+        np.testing.assert_array_equal(filtered.assigned, full.assigned)
+        if isinstance(full, DistributedMuDBSCANState):
+            assert len(full.cross_pairs) > before  # unknown candidates met
+            np.testing.assert_array_equal(_cross(filtered), _cross(full))
+
+    @staticmethod
+    def _gathered_rows(state: MuDBSCANState) -> tuple[int, int]:
+        """(candidate rows the pre-filter keeps, rows of the full blocks)."""
+        tree = state.murtree
+        mcs, bounds, rows = postprocess._wndq_groups(state)
+        offsets, _ = postprocess._useful_blocks(state, state.uf.roots(), mcs, bounds, rows)
+        return int(offsets[-1]), int(np.diff(tree.block_offsets)[mcs].sum())
+
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_sequential_states(self, name):
+        pts, spec = load_dataset(name, scale=0.06, seed=3)
+
+        def after(step):
+            def make():
+                state = _make_state(pts, spec.eps, spec.min_pts)
+                process_micro_clusters(state)
+                if step == 6:
+                    process_remaining_points(state)
+                return state
+            return make
+
+        for step in (4, 6):
+            self._assert_same_pass(after(step))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("distributed", [False, True], ids=["sequential", "distributed"])
+    def test_multi_root_blocks(self, seed, distributed):
+        make = lambda: _random_state(seed, distributed)  # noqa: E731
+        state = make()
+        groups = {}
+        for row in state.wndq_corelist:
+            groups.setdefault(int(state.murtree.point_mc[row]), set()).add(
+                state.uf.find(row)
+            )
+        assert any(len(r) > 1 for r in groups.values())
+        self._assert_same_pass(make)
+
+    @pytest.mark.parametrize("scene", ["blobs", "halos"])
+    def test_distributed_states_with_unknown_halo_candidates(self, scene):
+        if scene == "blobs":
+            pts, eps, min_pts = blobs_with_noise(3000, 2, 6, seed=3), 0.06, 7
+        else:
+            pts, spec = load_dataset("MPAGD100M3D", scale=0.3)
+            eps, min_pts = spec.eps, spec.min_pts
+        cut = float(np.median(pts[:, 0]))
+        owned_rows = np.flatnonzero(pts[:, 0] < cut)
+        halo_rows = np.flatnonzero((pts[:, 0] >= cut) & (pts[:, 0] - cut < eps))
+        local, owned, factory = _local_inputs(
+            pts[owned_rows], owned_rows, pts[halo_rows], halo_rows
+        )
+
+        def make():
+            tree = MuRTree(local, eps)
+            tree.compute_reachability()
+            state = factory(tree, DBSCANParams(eps=eps, min_pts=min_pts), Counters())
+            process_micro_clusters(state)
+            process_remaining_points(state, process_mask=owned)
+            return state
+
+        self._assert_same_pass(make)
+        kept, full = self._gathered_rows(make())
+        assert kept < full
 
 
 class TestPostprocessNoise:

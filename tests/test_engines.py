@@ -102,6 +102,15 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.core_mask, b.core_mask)
         assert a.counters.dist_calcs == b.counters.dist_calcs
 
+    @pytest.mark.parametrize("aux_index", ["flat", "rtree"])
+    def test_sampled_labels_do_not_depend_on_aux_index(self, medium_blobs_3d, aux_index):
+        # every mode answers the same neighbourhoods, and the engine's
+        # passes gather reach blocks from the store in any mode
+        a = fit(medium_blobs_3d, 0.25, 10, engine="sampled", seed=7)
+        b = fit(medium_blobs_3d, 0.25, 10, engine="sampled", seed=7, aux_index=aux_index)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.core_mask, b.core_mask)
+
     def test_summary_is_deterministic(self, medium_blobs_3d):
         a = fit(medium_blobs_3d, 0.25, 10, engine="summary")
         b = fit(medium_blobs_3d, 0.25, 10, engine="summary")

@@ -1,5 +1,7 @@
 """Tests for fragment resolution (the distributed merge, §V-C)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.distributed.merging import resolve_fragments
 from repro.distributed.protocol import LocalFragment
 from repro.instrumentation.counters import Counters
+from repro.unionfind import unionfind as unionfind_module
 from repro.unionfind.unionfind import UnionFind
 
 
@@ -170,9 +173,12 @@ class TestResolveFragmentsMatchesPerPairLoop:
     def test_labels_flags_and_counts(self, case):
         frags, n = case
         labels, assigned, n_cross, unions = _per_pair_merge(frags, n)
-        counters = Counters()
-        out = resolve_fragments(frags, n, counters=counters)
-        np.testing.assert_array_equal(out.labels, labels)
-        np.testing.assert_array_equal(out.assigned_mask, assigned)
-        assert out.n_cross_pairs == n_cross
-        assert counters.unions == unions
+        # union_edges' array pass, then its edge-by-edge loop, each forced
+        for limit in (-(2**62), 2**62):
+            counters = Counters()
+            with mock.patch.object(unionfind_module, "_LOOP_EDGES", limit):
+                out = resolve_fragments(frags, n, counters=counters)
+            np.testing.assert_array_equal(out.labels, labels)
+            np.testing.assert_array_equal(out.assigned_mask, assigned)
+            assert out.n_cross_pairs == n_cross
+            assert counters.unions == unions

@@ -1,6 +1,8 @@
 """Unit tests for the two-level μR-tree and reachability."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,14 +10,15 @@ import pytest
 import repro
 from repro.core.mudbscan import run_mu_dbscan_state
 from repro.core.params import DBSCANParams
-from repro.data.registry import load_dataset
+from repro.data.registry import dataset_names, load_dataset
+from repro.data.synthetic import blobs_with_noise
 from repro.geometry.distance import neighbors_within, sq_dist
 from repro.index import grid
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import build_micro_cluster_arrays
 from repro.microcluster.microcluster import MicroCluster
-from repro.microcluster.murtree import MuRTree
+from repro.microcluster.murtree import DENSE_MIN_CANDIDATES, MuRTree
 from repro.microcluster.reachability import compute_reachable
 from repro.serving.model import FittedModel, fit_model
 from repro.serving.predict import predict_model
@@ -225,6 +228,59 @@ class TestReachabilityMemory:
         assert len(centers) > 1900 and want[1].size > len(centers)
 
 
+class TestReachBlockGather:
+    """Reach blocks are gathered from the member arrays through the reach
+    CSR, in its order: ascending reachable MC id, then each MC's members
+    in member order.  Neighbour lists and border choices follow that
+    order, so every reader must see the same sequence."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_block_order_is_the_reach_csr_order(self, name, metric):
+        pts, spec = load_dataset(name, scale=0.06, seed=3)
+        tree = MuRTree(pts, spec.eps, metric=metric)
+        tree.compute_reachability()
+        m = tree.n_micro_clusters
+        blocks = [
+            np.concatenate([tree.member_rows(w) for w in tree.reach_ids(k)])
+            for k in range(m)
+        ]
+        for k in range(m):
+            np.testing.assert_array_equal(tree.reach_block(k), blocks[k])
+        np.testing.assert_array_equal(np.diff(tree.block_offsets), [b.size for b in blocks])
+        # the one-pass gather, in any MC order and with repeats
+        ids = np.concatenate([np.arange(m)[::-1], np.arange(min(m, 3))])
+        offsets, at = tree.block_positions(ids)
+        for i, k in enumerate(ids.tolist()):
+            np.testing.assert_array_equal(
+                tree.member_flat[at[offsets[i] : offsets[i + 1]]], blocks[k]
+            )
+        np.testing.assert_array_equal(tree.member_points[at], pts[tree.member_flat[at]])
+        # a query keeps the block's order among its neighbours
+        threshold = tree.metric.threshold(tree.eps)
+        for row in range(0, len(tree), max(1, len(tree) // 25)):
+            block = blocks[int(tree.point_mc[row])]
+            raw = tree.metric.raw_to_point(pts[block], pts[row])
+            np.testing.assert_array_equal(tree.query_ball(row)[0], block[raw < threshold])
+            res = tree.query_ball_block(int(tree.point_mc[row]), np.array([row]))
+            np.testing.assert_array_equal(res.nbrs(0), block[raw < threshold])
+
+    def test_index_retains_no_block(self):
+        # blocks of up to 1,740 candidates, 203 of them dense: the index
+        # retained 6.18 MiB here while it stored the blocks (their rows,
+        # plus the dense blocks' coordinates), and 0.44 MiB gathering them
+        pts = blobs_with_noise(6000, 3, 4, noise_fraction=0.2, seed=1)
+        tracemalloc.start()
+        try:
+            tree = MuRTree(pts, 0.08)
+            tree.compute_reachability()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(np.diff(tree.block_offsets) >= DENSE_MIN_CANDIDATES) > 100
+        assert retained < 2**20, f"{retained / 2**20:.2f} MiB"
+
+
 class TestFlatStore:
     """The fit index holds the MC structure as the served model's
     arrays; per-MC objects are an inspection view."""
@@ -235,8 +291,7 @@ class TestFlatStore:
         names = (
             "point_mc", "center_rows", "member_offsets", "member_flat",
             "member_points", "mbr_low", "mbr_high", "ic_offsets", "ic_flat",
-            "reach_offsets", "reach_flat", "block_offsets", "block_rows",
-            "dense_coords", "dense_offsets",
+            "reach_offsets", "reach_flat", "block_offsets",
         )
         for name in names:
             assert not getattr(tree, name).flags.writeable, name
@@ -275,6 +330,20 @@ class TestFlatStore:
         assert all(mc.reach_ids is not None and mc.reach_rows is not None for mc in after)
         tree.compute_reachability()  # idempotent: the view stays
         assert tree.mcs is after
+
+    def test_view_does_not_keep_its_store_alive(self, small_blobs):
+        # the MCs reach their store through a weak proxy, so reference
+        # counting frees a store whose view was read
+        tree = MuRTree(small_blobs, eps=0.08)
+        tree.compute_reachability()
+        assert all(mc.reach_rows is not None for mc in tree.mcs)
+        store = weakref.ref(tree)
+        gc.disable()
+        try:
+            del tree
+            assert store() is None
+        finally:
+            gc.enable()
 
     def test_empty_and_single_point(self):
         empty = MuRTree(np.empty((0, 3)), eps=0.5)

@@ -9,9 +9,11 @@ point sets and parameters,
 * micro-cluster construction must produce a valid partition.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +24,7 @@ from repro.index.grid import UniformGrid
 from repro.index.kdtree import KDTree
 from repro.index.rtree import PointRTree
 from repro.microcluster.builder import build_micro_clusters
+from repro.unionfind import unionfind as unionfind_module
 from repro.unionfind.unionfind import UnionFind
 
 _SETTINGS = settings(
@@ -154,8 +157,9 @@ class TestUnionFindModel:
 
 
 class TestUnionEdges:
-    """``union_edges`` resolves a batch in one array pass; it must leave
-    the state a loop of ``union`` over the same pairs leaves."""
+    """``union_edges`` resolves a batch in one array pass or, when it is
+    small, edge by edge; either must leave the state a loop of
+    ``union`` over the same pairs leaves."""
 
     @_SETTINGS
     @given(
@@ -166,13 +170,12 @@ class TestUnionEdges:
         self_loops=st.booleans(),
         repeat=st.booleans(),
     )
+    # earlier unions left the chain 3 -> 2 -> 1 -> 0: pointer jumping
+    # needs more than one round to find 3's root
+    @example(
+        n=5, grow=1, prior=[(2, 3), (1, 2), (0, 1)], edges=[(3, 5)], self_loops=False, repeat=False
+    )
     def test_matches_a_loop_of_unions(self, n, grow, prior, edges, self_loops, repeat):
-        batched, looped = UnionFind(n), UnionFind(n)
-        for uf in (batched, looped):
-            for a, b in prior:
-                uf.union(a % n, b % n)
-            ids = uf.extend(grow)
-            np.testing.assert_array_equal(ids, np.arange(n, n + grow))
         total = n + grow
         pairs = [(a % total, b % total) for a, b in edges]
         if self_loops:
@@ -181,18 +184,27 @@ class TestUnionEdges:
             pairs += pairs[: len(pairs) // 2] + [(b, a) for a, b in pairs[:3]]
         src = np.asarray([a for a, _ in pairs], dtype=np.int64)
         dst = np.asarray([b for _, b in pairs], dtype=np.int64)
-        effective = batched.union_edges(src, dst)
-        before = looped.counters.unions
-        for a, b in pairs:
-            looped.union(a, b)
-        assert effective == looped.counters.unions - before
-        roots = batched.roots()
-        np.testing.assert_array_equal(roots, looped.roots())
-        assert batched.n_sets == looped.n_sets == np.unique(roots).size
-        assert batched.counters.unions == looped.counters.unions
-        # every root is the smallest element of its set
-        assert (roots <= np.arange(total)).all()
-        np.testing.assert_array_equal(roots[roots], roots)
+        # the array pass, then the edge-by-edge loop, each forced
+        for limit in (-(2**62), 2**62):
+            batched, looped = UnionFind(n), UnionFind(n)
+            for uf in (batched, looped):
+                for a, b in prior:
+                    uf.union(a % n, b % n)
+                ids = uf.extend(grow)
+                np.testing.assert_array_equal(ids, np.arange(n, total))
+            with mock.patch.object(unionfind_module, "_LOOP_EDGES", limit):
+                effective = batched.union_edges(src, dst)
+            before = looped.counters.unions
+            for a, b in pairs:
+                looped.union(a, b)
+            assert effective == looped.counters.unions - before
+            roots = batched.roots()
+            np.testing.assert_array_equal(roots, looped.roots())
+            assert batched.n_sets == looped.n_sets == np.unique(roots).size
+            assert batched.counters.unions == looped.counters.unions
+            # every root is the smallest element of its set
+            assert (roots <= np.arange(total)).all()
+            np.testing.assert_array_equal(roots[roots], roots)
 
     def test_rejects_unequal_lengths(self):
         uf = UnionFind(4)
